@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bcp import engine_name, resolve_engine
+from repro.bcp import engine_name, removal_engines, resolve_engine
 from repro.bcp.engine import FALSE, TRUE, PropagatorBase
 from repro.core.formula import CnfFormula
 from repro.core.literals import encode
@@ -92,7 +92,7 @@ def check_drup(formula: CnfFormula, proof: DrupProof,
         raise ValueError(
             f"engine '{engine_name(engine_cls)}' does not support "
             "clause removal, but the DRUP trace contains deletions; "
-            "use the watched, arena, or vector engine")
+            f"use one of {', '.join(removal_engines())}")
     build = ReportBuilder(ForwardCheckReport, obs=obs,
                           total_checks=len(proof.events),
                           progress_label="events",

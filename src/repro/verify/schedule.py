@@ -12,8 +12,8 @@ shard dominating wall-clock.
 
 This module plans shards by *predicted cost* instead:
 
-* :func:`predict_costs` — cheap static proxies, pure Python (the
-  planner must work on the no-numpy install): per-check cost scales
+* :func:`predict_costs` — cheap static proxies, pure Python:
+  per-check cost scales
   with the live clause count at the check's ceiling (proof position)
   times an assumption-width factor, plus a root-replay term in rebuild
   mode (every rebuild check re-asserts the unit prefix).  The width

@@ -63,7 +63,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.bcp import engine_name, resolve_engine
+from repro.bcp import engine_name, removal_engines, resolve_engine
 from repro.bcp.engine import FALSE, TRUE, PropagationCounters, \
     PropagatorBase
 from repro.core.exceptions import CheckpointError, ProofFormatError
@@ -273,7 +273,7 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         raise ValueError(
             f"engine '{engine_name(engine_cls)}' does not support "
             "clause removal; streaming verification lives on deletion "
-            "events — use the watched, arena, or vector engine")
+            f"events — use one of {', '.join(removal_engines())}")
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
 

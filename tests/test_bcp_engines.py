@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bcp import ENGINES as REGISTRY
+from repro.bcp import removal_engines, resolve_engine
 from repro.bcp.arena import ArenaPropagator
 from repro.bcp.counting import CountingPropagator
 from repro.bcp.engine import FALSE, TRUE, UNDEF
@@ -375,3 +377,16 @@ class TestAssignmentView:
 
     def test_empty(self, engine_cls):
         assert engine_cls(3).assignment() == {}
+
+
+class TestRegistry:
+    def test_exactly_three_engines(self):
+        assert REGISTRY == {"watched": WatchedPropagator,
+                            "counting": CountingPropagator,
+                            "arena": ArenaPropagator}
+        assert removal_engines() == ("watched", "arena")
+
+    @pytest.mark.parametrize("name", ["vector", "vector-inc", "auto"])
+    def test_retired_names_are_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown BCP engine"):
+            resolve_engine(name)

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -77,6 +82,28 @@ class TestVerify:
         code = main(["verify", str(sat_cnf), str(proof_path)])
         assert code == 1
         assert "questionable clause" in capsys.readouterr().out
+
+    def test_engine_choices_follow_registry(self, unsat_cnf, capsys):
+        for command in ("verify", "verify-drup", "verify-stream"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(unsat_cnf), "p", "--engine",
+                      "vector"])
+            assert exc.value.code == EXIT_ERROR
+            offered = capsys.readouterr().err.split("choose from")[1]
+            # Removal-only commands offer exactly the engines that
+            # can honor deletions.
+            assert "watched" in offered and "arena" in offered
+            assert ("counting" in offered) == (command == "verify")
+
+    def test_import_does_not_load_numpy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli, sys; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestCore:

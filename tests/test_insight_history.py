@@ -189,6 +189,18 @@ class TestCheckRegression:
                                 max_props_drop_pct=25.0,
                                 max_phase_pct=None) == []
 
+    def test_accepts_old_records_with_kernel_key(self):
+        """Records written before the engine set shrank carry a
+        ``kernel`` field; fresh fingerprints do not, and the two still
+        compare."""
+        current = real_fingerprint()
+        assert "kernel" not in current
+        old = dict(current, id="r-old", kernel="numpy")
+        assert check_regression(old, current, max_wall_pct=None,
+                                max_props_drop_pct=0.0,
+                                max_phase_pct=None) == []
+        assert compare_runs(old, current)
+
     def test_outcome_change_is_always_a_violation(self):
         a = synthetic("r-a", 1.0, 1000.0)
         b = synthetic("r-b", 0.5, 2000.0, outcome="proof_is_not_correct")

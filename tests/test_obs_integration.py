@@ -141,6 +141,20 @@ class TestInstrumentedRuns:
                        if e["name"] == "check" and e["type"] == "begin"]
         assert len(check_spans) == report.num_checked
 
+    def test_kernel_selected_event(self, unsat_instance):
+        """The engine choice is on record: what was requested, which
+        engine won, the workload, and why."""
+        formula, proof = unsat_instance
+        report, _, obs = self._run(formula, proof, engine_cls="arena")
+        assert report.engine == "arena"
+        events = [e for e in obs.tracer.events
+                  if e["type"] == "event"
+                  and e["name"] == "kernel_selected"]
+        assert len(events) == 1
+        assert events[0]["attrs"] == {
+            "requested": "arena", "engine": "arena", "mode": "rebuild",
+            "order": "backward", "reason": "explicit request"}
+
     def test_v2_marked_ratio(self, unsat_instance):
         formula, proof = unsat_instance
         obs = Obs(metrics=MetricsRegistry())

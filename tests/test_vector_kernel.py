@@ -1,225 +1,36 @@
-"""Unit tests for the numpy-vectorized BCP kernel.
+"""Tests for ``ProofChecker.from_arena`` over a shared clause arena.
 
-The engine-parity suite (tests/test_engine_parity.py) pins the vector
-engine's *verdicts* against the other engines; this module tests the
-kernel's own mechanics: masking instead of mutation (tombstones,
-``retire_above``, explicit ceilings), the frontier-batched round
-logic on both the sparse and the dense extraction path, snapshot
-backtracking, the shared-memory view, and the ``auto``-ladder /
-``kernel_selected`` plumbing that selects the kernel.
-
-Everything except the fallback tests requires numpy; the fallback
-tests simulate its absence by blanking the registry entry, so they run
-(and mean the same thing) on both CI legs.
+A checker adopted over an arena (local or attached from shared memory,
+the parallel workers' path) always runs ``ArenaPropagator``.
 """
 
-import pytest
-
-import repro.bcp as bcp
-from repro.bcp import ENGINES, engine_name, numpy_available, resolve_engine
 from repro.bcp.arena import ArenaPropagator, ClauseArena, build_arena
-from repro.bcp.engine import FALSE, TRUE, UNDEF
 from repro.core.formula import CnfFormula
-from repro.core.literals import encode
 from repro.proofs.conflict_clause import (
     ENDING_FINAL_PAIR,
     ConflictClauseProof,
 )
 from repro.verify.checker import ProofChecker
-from repro.verify.verification import verify_proof_v1
 
-np = pytest.importorskip("numpy")
-from repro.bcp.vector import VectorPropagator  # noqa: E402
-
-
-def make_engine(clauses, num_vars=0):
-    engine = VectorPropagator(num_vars)
-    cids = [engine.add_clause([encode(lit) for lit in clause],
-                              propagate_units=False)
-            for clause in clauses]
-    return engine, cids
-
-
-def assume(engine, lit):
-    # PropagatorBase.assume opens the decision level itself.
-    assert engine.assume(encode(lit))
-
-
-class TestMasking:
-    """Removed/retired/above-ceiling clauses neither propagate nor
-    conflict — the kernel masks their slack rather than mutating the
-    (possibly read-only, shared) arena."""
-
-    def test_tombstoned_clause_never_propagates(self):
-        engine, cids = make_engine([[1, 2]])
-        assume(engine, -1)
-        assert engine.propagate() is None
-        assert engine.value(encode(2)) == TRUE
-        engine.backtrack(0)
-        engine.remove_clause(cids[0])
-        assume(engine, -1)
-        assert engine.propagate() is None
-        assert engine.value(encode(2)) == UNDEF
-
-    def test_tombstoned_clause_never_conflicts(self):
-        engine, cids = make_engine([[1, 2], [1, -2]])
-        engine.remove_clause(cids[1])
-        assume(engine, -1)
-        # Live (1 2) forces 2; dead (1 -2) must not report the
-        # resulting "conflict".
-        assert engine.propagate() is None
-        assert engine.value(encode(2)) == TRUE
-
-    def test_retire_above_masks_high_cids(self):
-        engine, _ = make_engine([[1, 2], [1, -2]])
-        engine.retire_above(1)
-        assume(engine, -1)
-        assert engine.propagate() is None
-        assert engine.value(encode(2)) == TRUE
-        # Un-retired, the same assumption is a conflict.
-        engine2, _ = make_engine([[1, 2], [1, -2]])
-        assume(engine2, -1)
-        assert engine2.propagate() is not None
-
-    def test_explicit_ceiling_is_per_call(self):
-        """``propagate(ceiling)`` masks without retiring: a later call
-        with a higher ceiling sees the clauses again (the rebuild-mode
-        checker's pattern, exercising the staleness watermark)."""
-        engine, _ = make_engine([[1, 2], [1, -2]])
-        assume(engine, -1)
-        assert engine.propagate(1) is None      # (1 -2) out of play
-        assert engine.value(encode(2)) == TRUE
-        engine.backtrack(0)
-        assume(engine, -1)
-        assert engine.propagate(2) is not None  # now it conflicts
-
-    def test_retired_clause_purged_from_occurrences(self):
-        engine, _ = make_engine([[1, 2], [1, -2], [1, 3]])
-        before = engine.counters.purged
-        engine.retire_above(1)
-        assume(engine, -1)
-        engine.propagate()
-        assert engine.counters.purged > before
-
-
-class TestFrontierRounds:
-    """The hot loop processes the whole trail delta per round."""
-
-    def test_implication_chain_propagates_to_fixpoint(self):
-        n = 30
-        chain = [[-k, k + 1] for k in range(1, n)]
-        engine, _ = make_engine(chain)
-        assume(engine, 1)
-        assert engine.propagate() is None
-        for var in range(1, n + 1):
-            assert engine.value(encode(var)) == TRUE
-
-    def test_dense_round_fanout(self):
-        """One falsified literal hitting many clauses at once takes the
-        dense bincount path; every consequence must land."""
-        fanout = [[1, k] for k in range(2, 120)]
-        engine, _ = make_engine(fanout)
-        assume(engine, -1)
-        assert engine.propagate() is None
-        for var in range(2, 120):
-            assert engine.value(encode(var)) == TRUE
-
-    def test_sparse_round_small_frontier(self):
-        """A tiny frontier over a large clause set takes the sparse
-        ``subtract.at`` path; same fixpoint."""
-        padding = [[10 + k, 200 + k] for k in range(150)]
-        chain = [[-1, 2], [-2, 3], [-3, 4]]
-        engine, _ = make_engine(padding + chain)
-        assume(engine, 1)
-        assert engine.propagate() is None
-        assert engine.value(encode(4)) == TRUE
-        for k in range(150):
-            assert engine.value(encode(10 + k)) == UNDEF
-
-    def test_conflict_reported_with_clause_id(self):
-        engine, cids = make_engine([[1, 2], [-2, 3], [-2, -3]])
-        assume(engine, -1)
-        confl = engine.propagate()
-        assert confl in (cids[1], cids[2])
-        assert engine.value(encode(2)) == TRUE
-
-    def test_counters_move(self):
-        engine, _ = make_engine([[1, 2], [-2, 3]])
-        assume(engine, -1)
-        engine.propagate()
-        counters = engine.counters
-        assert counters.assignments >= 2
-        assert counters.clause_visits > 0
-
-
-class TestSnapshots:
-    """Backtracking restores the per-level slack snapshot (or recounts
-    when the snapshot was invalidated) — retraction must be exact."""
-
-    def test_backtrack_restores_clean_state(self):
-        engine, _ = make_engine([[1, 2], [-2, 3]])
-        assume(engine, -1)
-        assert engine.propagate() is None
-        engine.backtrack(0)
-        for var in (1, 2, 3):
-            assert engine.value(encode(var)) == UNDEF
-        # The same propagation must replay identically.
-        assume(engine, -1)
-        assert engine.propagate() is None
-        assert engine.value(encode(3)) == TRUE
-
-    def test_mid_level_backtrack(self):
-        engine, _ = make_engine([[1, 2], [-3, 4]])
-        assume(engine, -1)
-        assert engine.propagate() is None
-        assume(engine, 3)
-        assert engine.propagate() is None
-        assert engine.value(encode(4)) == TRUE
-        engine.backtrack(1)
-        assert engine.value(encode(2)) == TRUE   # level-1 state intact
-        assert engine.value(encode(4)) == UNDEF
-        assume(engine, -4)
-        assert engine.propagate() is None
-        assert engine.value(encode(3)) == FALSE  # (-3 4) with 4 false
-
-    def test_clause_added_mid_search_invalidates_snapshot(self):
-        engine, _ = make_engine([[1, 2]])
-        assume(engine, -1)
-        assert engine.propagate() is None
-        engine.add_clause([encode(-2), encode(3)],
-                          propagate_units=False)
-        # A clause that is already unit under the standing assignment
-        # fires on a trail rescan (the incremental checker's
-        # ``qhead = 0`` pattern) — this exercises the counted-region
-        # candidate scan, which must not double-count the trail.
-        engine.qhead = 0
-        assert engine.propagate() is None
-        assert engine.value(encode(3)) == TRUE
-        engine.backtrack(0)
-        assume(engine, -1)
-        assert engine.propagate() is None
-        assert engine.value(encode(3)) == TRUE
-
-
+# The paper's running example (Section 4).
 PAPER_F = CnfFormula([[1, 2], [1, -2], [-1, 3], [-1, -3], [4, 5]])
 PAPER_PROOF = ConflictClauseProof([(1,), (-1,)], ENDING_FINAL_PAIR)
 
 
 class TestSharedMemoryView:
     def test_checker_over_attached_arena(self):
-        """A vector engine built over a shared-memory-attached arena
-        (numpy views over the same block, zero-copy) reaches the same
-        verdict as the local engines."""
+        """A checker built over a shared-memory-attached arena reaches
+        the same verdict as one built over the local arena."""
         arena, num_input = build_arena(PAPER_F, PAPER_PROOF)
         handle = arena.to_shared_memory()
         try:
             attached = ClauseArena.from_shared_memory(handle)
-            checker = ProofChecker.from_arena(
-                attached, num_input, engine_cls="vector")
-            assert isinstance(checker.engine, VectorPropagator)
+            checker = ProofChecker.from_arena(attached, num_input)
+            assert isinstance(checker.engine, ArenaPropagator)
             for index in (1, 0):
                 assert checker.check_clause(index).conflict
                 checker.reset()
+            attached.detach()
         finally:
             arena.release_shared(unlink=True)
 
@@ -227,61 +38,3 @@ class TestSharedMemoryView:
         arena, num_input = build_arena(PAPER_F, PAPER_PROOF)
         checker = ProofChecker.from_arena(arena, num_input)
         assert isinstance(checker.engine, ArenaPropagator)
-
-    def test_from_arena_rejects_non_arena_backed(self):
-        arena, num_input = build_arena(PAPER_F, PAPER_PROOF)
-        with pytest.raises(ValueError, match="arena-backed"):
-            ProofChecker.from_arena(arena, num_input,
-                                    engine_cls="watched")
-
-
-class TestSelection:
-    def test_registry_and_classvars(self):
-        assert numpy_available()
-        assert ENGINES["vector"] is VectorPropagator
-        assert VectorPropagator.kernel == "numpy"
-        assert VectorPropagator.arena_backed
-        assert engine_name(VectorPropagator) == "vector"
-
-    def test_auto_resolves_to_vector(self):
-        assert resolve_engine("auto") is VectorPropagator
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(bcp, "VectorPropagator", None)
-        assert resolve_engine("auto") is ArenaPropagator
-
-    def test_vector_errors_helpfully_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(bcp, "VectorPropagator", None)
-        monkeypatch.delitem(bcp.ENGINES, "vector", raising=False)
-        with pytest.raises(ValueError, match=r"repro\[fast\]"):
-            resolve_engine("vector")
-
-    def test_kernel_selected_event(self):
-        from repro.obs.context import Obs
-        from repro.obs.spans import Tracer
-
-        obs = Obs(tracer=Tracer())
-        report = verify_proof_v1(PAPER_F, PAPER_PROOF, "auto", obs=obs)
-        assert report.ok
-        assert report.engine == "vector"
-        events = [e for e in obs.tracer.events
-                  if e["type"] == "event"
-                  and e["name"] == "kernel_selected"]
-        assert len(events) == 1
-        attrs = events[0]["attrs"]
-        assert attrs["requested"] == "auto"
-        assert attrs["engine"] == "vector"
-        assert attrs["kernel"] == "numpy"
-        assert attrs["mode"] == "rebuild"
-        assert attrs["order"] == "backward"
-        assert attrs["reason"].startswith("auto:")
-
-    def test_fingerprint_kernel_field(self):
-        from repro.obs.insight.history import fingerprint
-
-        vector = verify_proof_v1(PAPER_F, PAPER_PROOF, "vector")
-        watched = verify_proof_v1(PAPER_F, PAPER_PROOF, "watched")
-        assert fingerprint(vector, run_id="r1",
-                           command="verify")["kernel"] == "numpy"
-        assert fingerprint(watched, run_id="r2",
-                           command="verify")["kernel"] == "python"
