@@ -64,4 +64,4 @@ def test_forward_drup(benchmark, name, aggressive_solutions):
     assert report.ok
     _table.add(f"{name:<10} {'forward':<10} {report.num_additions:>8,} "
                f"{report.verification_time:>8.3f} "
-               f"{report.peak_active_clauses:>13,}")
+               f"{report.peak_live_clauses:>13,}")

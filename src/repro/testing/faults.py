@@ -210,6 +210,21 @@ def scenario_unknown_deletion(workdir: str) -> FaultOutcome:
     return outcome
 
 
+def scenario_fresh_variable(workdir: str) -> FaultOutcome:
+    """A valid trace names a variable above the ``p cnf`` header's
+    count (a solver's fresh variable): the checker grows to hold it
+    and accepts, exit 0."""
+    cnf = os.path.join(workdir, "fresh.cnf")
+    drup = os.path.join(workdir, "fresh.drup")
+    with open(cnf, "w") as handle:
+        handle.write("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
+    with open(drup, "w") as handle:
+        handle.write("2 5 0\n2 0\n0\n")
+    proc = _run_cli(["verify-stream", cnf, drup])
+    return _judge("fresh-variable", proc, (EXIT_OK,),
+                  want_stdout="s PROOF_IS_CORRECT")
+
+
 def scenario_live_clause_budget(workdir: str) -> FaultOutcome:
     """A hard live-clause cap trips mid-run: exit 3, a schema-valid
     resume token on disk, and an uncapped resume finishes the job."""
@@ -429,6 +444,7 @@ SCENARIOS = {
     "clean-truncation": scenario_clean_truncation,
     "corrupt-bytes": scenario_corrupt_bytes,
     "unknown-deletion": scenario_unknown_deletion,
+    "fresh-variable": scenario_fresh_variable,
     "live-clause-budget": scenario_live_clause_budget,
     "props-budget": scenario_props_budget,
     "corrupt-checkpoint": scenario_corrupt_checkpoint,

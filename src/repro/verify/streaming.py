@@ -1,66 +1,84 @@
-"""Streaming bounded-memory forward verification of DRUP traces.
+"""Forward DRUP checking with deletions: the one event loop.
 
-The forward checker (:mod:`repro.verify.forward`) already honors
-deletion lines, but it still materializes the whole trace up front —
-so a proof larger than RAM kills it before the first RUP check.  This
-driver is the window-shifting alternative (Chen 2016, DRAT-trim): one
-pass over the trace through the chunked reader
-(:class:`repro.proofs.stream.DrupStreamReader`), holding only the
-*live* clause set, under a hard memory budget, with crash-safe
-checkpoints.
+The dual of the paper's backward procedures: process the trace in
+chronological order, RUP-checking each addition against the *currently
+live* clause set and honoring deletion lines.  Deletions keep the
+checker's working set as small as the solver's was — the fix for the
+memory growth the paper's Section 5 worries about, at the price of
+checking every addition (no marking/skipping is possible forward).
 
-Four properties distinguish it from :func:`~repro.verify.forward.
-check_drup`:
+:func:`forward_check` is the only implementation, with two entry
+points feeding it events (as DRAT-trim and the window-shifting checker
+of Chen 2016 do):
 
-**Bounded memory.**  Events are parsed, checked, and discarded one at
-a time; the resident state is the formula plus the live proof-added
-clauses.  :class:`~repro.verify.budget.CheckBudget`'s
-``max_live_clauses``/``max_bytes`` axes cap that live set — a trace
-whose deletions do not keep it under the cap degrades to a
+* :func:`~repro.verify.forward.check_drup` feeds a trace already in
+  memory (:class:`~repro.proofs.drup.DrupProof`), with window shifts
+  off — the trace is resident anyway, so reclaiming engine storage
+  would bound nothing;
+* :func:`verify_stream` feeds the chunked reader
+  (:class:`repro.proofs.stream.DrupStreamReader`), so a proof larger
+  than RAM is read, checked and discarded one event at a time.
+
+The loop's features, all available to both entry points:
+
+**Bounded memory.**  The resident state is the engine holding the
+formula plus the live proof-added clauses, and a clause-key index for
+deletion lookup — no second copy of the live set.
+:class:`~repro.verify.budget.CheckBudget`'s ``max_live_clauses``/
+``max_bytes`` axes cap the live proof-added set — a trace whose
+deletions do not keep it under the cap degrades to a
 ``resource_limit_exceeded`` partial report (with a resume token, so a
 bigger budget can pick up where it stopped) instead of an OOM kill.
 
 **Window shifting.**  Deleted clauses are tombstoned by the engines,
 but their storage (arena pool words, watch-table slots) is never
 reclaimed in place.  When the dead fraction crosses
-``window_slack``, the driver rebuilds a fresh engine over only the
-live clauses — the "window shift" — and the old engine's storage is
-garbage.  Propagation-work accounting is carried across shifts, so
-budgets and reports see one continuous run.  A run carrying a memory
-sampler (``obs.mem``) also cross-checks the ``max_bytes`` *estimate*
-against *measured* RSS at every shift: growth past both an absolute
-floor and a multiple of the estimate emits a ``mem_estimate_drift``
-trace event and bumps ``repro_mem_estimate_drift_total`` — the model
-being wrong is surfaced, never fatal.
+``window_slack``, the loop rebuilds a fresh engine over only the
+live clauses, read back from the old engine (formula clauses first) —
+the "window shift" — and the old engine's storage is garbage.
+Propagation-work accounting is carried across shifts, so budgets and
+reports see one continuous run.  A run carrying a memory sampler
+(``obs.mem``) also cross-checks the ``max_bytes`` *estimate* against
+*measured* RSS at every shift: growth past both an absolute floor and
+a multiple of the estimate emits a ``mem_estimate_drift`` trace event
+and bumps ``repro_mem_estimate_drift_total`` — the model being wrong
+is surfaced, never fatal.
 
-**Checkpoint/resume.**  Every ``checkpoint_every`` events (and on
-interrupt or budget exhaustion) the driver flushes a small JSON resume
-token (schema ``repro.obs.checkpoint/v1``) via the atomic-artifact
-writer: trace position (byte offset/line/event index), the live
-clause window, deleted-formula indices, and the propagation work
-spent.  ``resume=True`` validates the token against digests of the
-formula and the proof file (a mismatch raises
+**Checkpoint/resume** (:func:`verify_stream` only: a token points into
+a file).  Every ``checkpoint_every`` events (and on interrupt or budget
+exhaustion) the loop flushes a small JSON resume token (schema
+``repro.obs.checkpoint/v1``) via the atomic-artifact writer: trace
+position (byte offset/line/event index), the live clause window,
+deleted-formula indices, and the propagation work spent.
+``resume=True`` validates the token against digests of the formula and
+the proof file (a mismatch raises
 :class:`~repro.core.exceptions.CheckpointError`) and continues from
 the recorded offset; an interrupted-then-resumed run reaches the same
 verdict as an uninterrupted one.  A run that reaches a verdict deletes
 its token — resume is only ever offered from an unfinished run.
 
-**Strict deletion semantics.**  A deletion naming a clause that is not
-live is a malformed event stream here (the chunked reader/fault
-injector surfaces these from truncated or corrupt traces), so it
-raises :class:`~repro.core.exceptions.ProofFormatError` → CLI exit 65.
-``lenient_deletions=True`` downgrades it to a counted warning and a
-skip (DRAT-trim's behavior).  The in-memory forward checker keeps its
-historical ``proof_is_not_correct`` verdict for the same input —
-three defensible behaviors, each documented where it lives.
+**Unknown deletions.**  A deletion naming a clause that is not live is
+handled by the ``unknown_deletion`` parameter, one per entry point:
+``"reject"`` (``check_drup``) makes it a ``proof_is_not_correct``
+verdict; ``"error"`` (``verify_stream``: the chunked reader/fault
+injector surfaces these from truncated or corrupt traces) raises
+:class:`~repro.core.exceptions.ProofFormatError` → CLI exit 65;
+``"skip"`` (``lenient_deletions=True``) downgrades it to a counted
+warning and a skip (DRAT-trim's behavior).
+
+Additions may name variables the formula never mentions (a header that
+under-declares, or a solver's fresh variables): the engine grows to
+hold them instead of crashing the checker.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from repro.bcp import engine_name, removal_engines, resolve_engine
@@ -68,7 +86,7 @@ from repro.bcp.engine import FALSE, TRUE, PropagationCounters, \
     PropagatorBase
 from repro.core.exceptions import CheckpointError, ProofFormatError
 from repro.core.formula import CnfFormula
-from repro.core.literals import encode
+from repro.core.literals import decode_clause, encode
 from repro.obs.export import atomic_write_text
 from repro.obs.mem import record_arena_gauges
 from repro.obs.schema import CHECKPOINT_SCHEMA, validate_checkpoint
@@ -93,7 +111,7 @@ class _BoundaryInterrupt(KeyboardInterrupt):
 
 
 class _InterruptGuard:
-    """Defer SIGINT/SIGTERM to event boundaries.
+    """Defer SIGINT/SIGTERM to event boundaries while checkpointing.
 
     A checkpoint written mid-event could record the live set with a
     half-applied addition or deletion; on resume the event would replay
@@ -102,12 +120,14 @@ class _InterruptGuard:
     checks after each event is fully applied; a *second* signal raises
     immediately — an emergency stop stays available if a check hangs.
 
-    Handlers can only be installed from the main thread; elsewhere
-    (`installed` False) the caller falls back to catching a raw
-    ``KeyboardInterrupt`` with best-effort consistency.
+    Handlers are installed only when ``install`` is true (a run with
+    no checkpoint has no state to keep consistent) and only from the
+    main thread; otherwise (`installed` False) the caller falls back to
+    catching a raw ``KeyboardInterrupt`` with best-effort consistency.
     """
 
-    def __init__(self):
+    def __init__(self, install: bool):
+        self.install = install
         self.pending: int | None = None
         self.installed = False
         self._previous: dict = {}
@@ -120,6 +140,8 @@ class _InterruptGuard:
     def __enter__(self):
         import signal
 
+        if not self.install:
+            return self
         try:
             for sig in (signal.SIGINT, signal.SIGTERM):
                 self._previous[sig] = signal.signal(sig, self._handle)
@@ -163,7 +185,7 @@ MEM_DRIFT_FLOOR_BYTES = 32 * 1024 * 1024
 
 @dataclass
 class StreamingCheckReport:
-    """Outcome of a streaming forward DRUP check.
+    """Outcome of a forward DRUP check (either entry point).
 
     Counts are cumulative across resume: ``num_additions``/
     ``num_deletions`` include the events the checkpointed prefix
@@ -172,6 +194,8 @@ class StreamingCheckReport:
     ``resource_limit_exceeded`` partial outcome; ``checkpoint_path``
     names the resume token left on disk (None once a verdict is
     reached — the token is deleted, there is nothing to resume).
+    ``stats`` is the shared :class:`~repro.verify.report.
+    VerificationStats` breakdown ("checks" are RUP-checked additions).
     """
 
     outcome: str
@@ -199,6 +223,11 @@ class StreamingCheckReport:
     @property
     def exhausted(self) -> bool:
         return self.outcome == RESOURCE_LIMIT_EXCEEDED
+
+    @property
+    def peak_active_clauses(self) -> int:
+        """The name ``verify-drup`` reports the peak live set under."""
+        return self.peak_live_clauses
 
 
 def formula_digest(formula: CnfFormula) -> str:
@@ -250,6 +279,48 @@ def _fold_counters(total: PropagationCounters,
     total.detach_misses += part.detach_misses
 
 
+def _clause_key(literals) -> tuple[int, ...]:
+    return tuple(sorted(set(literals)))
+
+
+def _is_live(engine: PropagatorBase, cid: int) -> bool:
+    # A tombstone stores no literals; neither does an empty formula
+    # clause, which the engine keeps reporting as a standing conflict.
+    return bool(engine.clause_len(cid)) or cid == engine.empty_clause_cid
+
+
+class _ReaderFeed:
+    """The chunked reader as the loop's ``(index, event)`` source.
+
+    Remembers the last two events handed out, so the loop can name the
+    current event's line and a checkpoint can point just past the last
+    fully applied event, without a position record per event.
+    """
+
+    def __init__(self, reader: DrupStreamReader):
+        self._reader = reader
+        self._start = (reader.start_offset, reader.start_line,
+                       reader.start_index)
+        self.last = None
+        self._before_last = None
+
+    def __iter__(self):
+        for streamed in self._reader:
+            self._before_last = self.last
+            self.last = streamed
+            yield streamed.index, streamed.event
+
+    def resume_point(self, applied: int) -> tuple[int, int, int]:
+        """``(offset, next_line, next_index)`` just past event
+        ``applied`` (the reader's start when it is not one of the two
+        newest events: nothing was applied since the start)."""
+        for streamed in (self.last, self._before_last):
+            if streamed is not None and streamed.index == applied:
+                return (streamed.offset, streamed.line_number + 1,
+                        applied + 1)
+        return self._start
+
+
 def verify_stream(formula: CnfFormula, proof_path, *,
                   budget: CheckBudget | None = None,
                   obs=None,
@@ -277,87 +348,124 @@ def verify_stream(formula: CnfFormula, proof_path, *,
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
 
+    # -- resume-token validation (before any engine work) ------------------
+    digests = (formula_digest(formula), file_digest(proof_path,
+                                                     chunk_bytes))
+    token = None
+    start_offset, start_line, start_index = 0, 1, 0
+    if resume:
+        token = load_checkpoint(checkpoint_path)
+        if token["formula_sha256"] != digests[0]:
+            raise CheckpointError(
+                f"checkpoint {checkpoint_path} was recorded against a "
+                "different formula (digest mismatch)")
+        if token["proof_sha256"] != digests[1]:
+            raise CheckpointError(
+                f"checkpoint {checkpoint_path} was recorded against a "
+                "different proof file (digest mismatch)")
+        start_offset = token["offset"]
+        start_line = token["next_line"]
+        start_index = token["next_index"]
+
+    feed = _ReaderFeed(DrupStreamReader(
+        proof_path, start_offset=start_offset, start_line=start_line,
+        start_index=start_index, chunk_bytes=chunk_bytes))
+    return forward_check(
+        formula, feed, engine_cls=engine_cls, budget=budget, obs=obs,
+        window_slack=window_slack,
+        unknown_deletion="skip" if lenient_deletions else "error",
+        feed=feed, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, token=token, digests=digests)
+
+
+def forward_check(formula: CnfFormula, events, *,
+                  engine_cls: type[PropagatorBase],
+                  budget: CheckBudget | None = None,
+                  obs=None,
+                  window_slack: float = DEFAULT_WINDOW_SLACK,
+                  unknown_deletion: str,
+                  total_events: int = 0,
+                  feed: _ReaderFeed | None = None,
+                  checkpoint_path=None,
+                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+                  token: dict | None = None,
+                  digests: tuple[str, str] | None = None,
+                  ) -> StreamingCheckReport:
+    """The forward-DRUP event loop behind both entry points.
+
+    ``events`` yields ``(index, DrupEvent)`` pairs in trace order.
+    The ``budget`` (if given) is consulted before every event; when it
+    runs out the check aborts with ``resource_limit_exceeded`` and
+    partial progress instead of a verdict.  ``obs`` attaches the
+    optional instrumentation layer (per-addition timing, trace spans,
+    progress over ``total_events`` when known).  ``window_slack`` is
+    the dead/live ratio that triggers a window shift (``math.inf``:
+    never); ``unknown_deletion`` is ``"reject"``, ``"error"`` or
+    ``"skip"`` (see module docstring).
+
+    The checkpoint arguments come from :func:`verify_stream`: ``feed``
+    is the reader the events come from (for line numbers and resume
+    positions), ``token`` a validated resume token to start from and
+    ``digests`` the (formula, proof file) sha256 pair a new token
+    records.
+    """
     build = ReportBuilder(StreamingCheckReport, obs=obs,
+                          total_checks=total_events,
                           progress_label="events",
                           engine=engine_name(engine_cls))
     warnings: list[str] = []
 
-    # -- resume-token validation (before any engine work) ------------------
-    fdigest = formula_digest(formula)
-    pdigest = file_digest(proof_path, chunk_bytes)
-    token = None
-    if resume:
-        token = load_checkpoint(checkpoint_path)
-        if token["formula_sha256"] != fdigest:
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path} was recorded against a "
-                "different formula (digest mismatch)")
-        if token["proof_sha256"] != pdigest:
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path} was recorded against a "
-                "different proof file (digest mismatch)")
-
-    with build.phase("setup", procedure="drup-streaming"):
+    with build.phase("setup", procedure="drup-forward"):
         engine = engine_cls(formula.num_vars)
-        # cid -> original literals of every *live* clause, in load
-        # order: the window-shift rebuild and the checkpoint are both
-        # replays of this dict.
-        live_lits: dict[int, tuple[int, ...]] = {}
-        # cid -> formula clause index (live formula clauses only).
-        formula_index: dict[int, int] = {}
         units: dict[int, int] = {}   # cid -> encoded literal
+        # Clause key -> list of live cids (for deletion lookup).
         active: dict[tuple[int, ...], list[int]] = {}
 
-        def clause_key(literals) -> tuple[int, ...]:
-            return tuple(sorted(set(literals)))
-
-        def load(literals, findex: int | None = None) -> int:
+        def load(literals) -> int:
+            """Add a clause; return its stored (deduplicated) length."""
             cid = engine.add_clause([encode(lit) for lit in literals],
                                     propagate_units=False)
-            if engine.clause_len(cid) == 1:
+            length = engine.clause_len(cid)
+            if length == 1:
                 units[cid] = engine.clause_lits(cid)[0]
-            active.setdefault(clause_key(literals), []).append(cid)
-            live_lits[cid] = tuple(literals)
-            if findex is not None:
-                formula_index[cid] = findex
-            return cid
+            active.setdefault(_clause_key(literals), []).append(cid)
+            return length
 
-        deleted_formula: set[int] = set()
+        # The formula clauses are the engine's first `num_formula` cids,
+        # loaded in formula order: cid's formula index is
+        # formula_ids[cid] (an array once some clause is left out).
+        formula_ids = range(formula.num_clauses)
+        if token is not None and token["deleted_formula_indices"]:
+            deleted = set(token["deleted_formula_indices"])
+            formula_ids = array("i", (findex for findex in formula_ids
+                                      if findex not in deleted))
+        for findex in formula_ids:
+            load(formula.clauses[findex].literals)
+        num_formula = len(formula_ids)
+
         live_additions = 0       # live proof-added clauses
         live_addition_words = 0  # their literal count (for max_bytes)
         additions = 0
         deletions = 0
         window_shifts = 0
         checkpoints_written = 0
-        loaded = 0               # cids allocated in the current engine
         resumed_from = None
-        start_offset, start_line, start_index = 0, 1, 0
-
+        peak = 0
         if token is not None:
-            deleted_formula = set(token["deleted_formula_indices"])
-            for findex, clause in enumerate(formula):
-                if findex not in deleted_formula:
-                    load(clause.literals, findex)
             for lits in token["live_additions"]:
-                load(lits)
+                live_addition_words += load(lits)
                 live_additions += 1
-                live_addition_words += len(lits)
             additions = token["additions"]
             deletions = token["deletions"]
             window_shifts = token["window_shifts"]
-            start_offset = token["offset"]
-            start_line = token["next_line"]
-            start_index = token["next_index"]
-            resumed_from = start_index
-            peak = max(token["peak_live_clauses"], len(live_lits))
+            resumed_from = token["next_index"]
+            peak = token["peak_live_clauses"]
             if obs is not None:
-                obs.event("stream_resumed", offset=start_offset,
-                          event_index=start_index)
-        else:
-            for findex, clause in enumerate(formula):
-                load(clause.literals, findex)
-            peak = len(live_lits)
-        loaded = len(live_lits)
+                obs.event("stream_resumed", offset=token["offset"],
+                          event_index=resumed_from)
+        live = num_formula + live_additions
+        loaded = live            # cids allocated in the current engine
+        peak = max(peak, live)
 
         # RSS baseline for the estimate-vs-measured cross-check: any
         # resident growth past this point is attributable to the
@@ -408,42 +516,46 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                 * (1 + ENGINE_OVERHEAD_WORDS_PER_CLAUSE)) * 4
 
     def set_live_gauges() -> None:
-        if obs is None:
-            return
-        obs.gauge_set("repro_stream_live_clauses", len(live_lits),
+        obs.gauge_set("repro_stream_live_clauses", live,
                       help="Live clauses (formula + proof) in the "
                            "streaming window")
         obs.gauge_set("repro_stream_live_proof_clauses", live_additions,
                       help="Live proof-added clauses in the streaming "
                            "window")
 
-    # Position of the resume point: just past the last processed event.
-    position = {"offset": start_offset, "next_line": start_line,
-                "next_index": start_index}
+    # Index of the last fully applied event: a resume token points
+    # just past it.
+    applied = -1
     run_start = time.perf_counter()
 
     def write_checkpoint() -> None:
         nonlocal checkpoints_written
         if checkpoint_path is None:
             return
+        offset, next_line, next_index = feed.resume_point(applied)
         seconds = time.perf_counter() - run_start
         if token is not None:
             seconds += token["budget_spent"]["seconds"]
+        live_formula = {formula_ids[cid] for cid in range(num_formula)
+                        if _is_live(engine, cid)}
         doc = {
             "schema": CHECKPOINT_SCHEMA,
-            "formula_sha256": fdigest,
-            "proof_sha256": pdigest,
-            "offset": position["offset"],
-            "next_line": position["next_line"],
-            "next_index": position["next_index"],
+            "formula_sha256": digests[0],
+            "proof_sha256": digests[1],
+            "offset": offset,
+            "next_line": next_line,
+            "next_index": next_index,
             "additions": additions,
             "deletions": deletions,
             "peak_live_clauses": peak,
             "window_shifts": window_shifts,
-            "deleted_formula_indices": sorted(deleted_formula),
+            "deleted_formula_indices": [
+                findex for findex in range(formula.num_clauses)
+                if findex not in live_formula],
             "live_additions": [
-                list(lits) for cid, lits in live_lits.items()
-                if cid not in formula_index],
+                list(decode_clause(engine.clause_lits(cid)))
+                for cid in range(num_formula, loaded)
+                if engine.clause_len(cid)],
             "budget_spent": {"props": total_props(),
                              "seconds": seconds},
             "engine": engine_name(engine_cls),
@@ -452,10 +564,8 @@ def verify_stream(formula: CnfFormula, proof_path, *,
                           json.dumps(doc, separators=(",", ":")))
         checkpoints_written += 1
         if obs is not None:
-            obs.event("checkpoint_written",
-                      offset=position["offset"],
-                      event_index=position["next_index"],
-                      live_clauses=len(live_lits))
+            obs.event("checkpoint_written", offset=offset,
+                      event_index=next_index, live_clauses=live)
             obs.counter_add("repro_checkpoints_written_total",
                             help="Streaming resume tokens flushed")
 
@@ -478,8 +588,8 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         account for, and on long streams the shifts show up as the
         critical path's serial segments.
         """
-        nonlocal engine, counters, loaded, units, active, live_lits, \
-            formula_index, meter, window_shifts
+        nonlocal engine, counters, loaded, units, active, meter, \
+            window_shifts, num_formula, formula_ids
         window_shifts += 1
         span_cm = (obs.tracer.span("window_shift",
                                    shift=window_shifts)
@@ -491,20 +601,26 @@ def verify_stream(formula: CnfFormula, proof_path, *,
             if meter is not None:
                 meter = meter.rebase(None)
                 meter._base = -prior_counters.total_work()
-            old_live = live_lits
-            old_findex = formula_index
-            engine = engine_cls(formula.num_vars)
-            live_lits = {}
-            formula_index = {}
+            old = engine
+            kept = [cid for cid in range(num_formula)
+                    if _is_live(old, cid)]
+            if len(kept) < num_formula:
+                formula_ids = array("i", (formula_ids[cid]
+                                          for cid in kept))
+            engine = engine_cls(old.num_vars)
             units = {}
             active = {}
-            for old_cid, lits in old_live.items():
-                load(lits, old_findex.get(old_cid))
+            for cid in kept:
+                load(decode_clause(old.clause_lits(cid)))
+            for cid in range(num_formula, loaded):
+                if old.clause_len(cid):
+                    load(decode_clause(old.clause_lits(cid)))
+            num_formula = len(kept)
             counters = engine.counters
-            loaded = len(live_lits)
+            loaded = live
         finally:
             if span_cm is not None:
-                end_attrs["live_clauses"] = len(live_lits)
+                end_attrs["live_clauses"] = live
                 span_cm.__exit__(None, None, None)
         if obs is not None:
             obs.counter_add("repro_stream_window_shifts_total",
@@ -557,121 +673,136 @@ def verify_stream(formula: CnfFormula, proof_path, *,
         engine.backtrack(0)
         return conflict
 
-    def partial(reason: str, index: int) -> StreamingCheckReport:
+    def build_report(outcome: str, **fields) -> StreamingCheckReport:
+        # BCP counter totals are published by build() itself (it gets
+        # bcp_counters=); only the DRUP-specific metrics live here.
         if obs is not None:
-            obs.event("budget_exhausted", reason=reason)
-            obs.counter_add("repro_budget_exhausted_total")
-        write_checkpoint()
-        return build.build(
-            RESOURCE_LIMIT_EXCEEDED,
-            bcp_counters=merged_counters(),
-            num_additions=additions, num_deletions=deletions,
-            stopped_at_event=index, failure_reason=reason,
-            peak_live_clauses=peak, live_clauses=len(live_lits),
-            window_shifts=window_shifts,
-            checkpoints_written=checkpoints_written,
-            resumed_from_event=resumed_from,
-            checkpoint_path=(str(checkpoint_path)
-                             if checkpoint_path is not None else None),
-            warnings=warnings)
-
-    def verdict(outcome: str, **fields) -> StreamingCheckReport:
-        discard_checkpoint()
+            obs.counter_add("repro_drup_additions_total", additions,
+                            help="DRUP additions RUP-checked")
+            obs.counter_add("repro_drup_deletions_total", deletions,
+                            help="DRUP deletion events honored")
+            obs.gauge_set("repro_drup_peak_active_clauses", peak,
+                          help="Peak size of the active clause set")
+            record_arena_gauges(obs, engine)
         return build.build(
             outcome, bcp_counters=merged_counters(),
             num_additions=additions, num_deletions=deletions,
-            peak_live_clauses=peak, live_clauses=len(live_lits),
+            peak_live_clauses=peak, live_clauses=live,
             window_shifts=window_shifts,
             checkpoints_written=checkpoints_written,
             resumed_from_event=resumed_from,
             warnings=warnings, **fields)
 
-    reader = DrupStreamReader(proof_path, start_offset=start_offset,
-                              start_line=start_line,
-                              start_index=start_index,
-                              chunk_bytes=chunk_bytes)
+    def partial(reason: str, index: int) -> StreamingCheckReport:
+        if obs is not None:
+            obs.event("budget_exhausted", reason=reason)
+            obs.counter_add("repro_budget_exhausted_total")
+        write_checkpoint()
+        return build_report(
+            RESOURCE_LIMIT_EXCEEDED, stopped_at_event=index,
+            failure_reason=reason,
+            checkpoint_path=(str(checkpoint_path)
+                             if checkpoint_path is not None else None))
+
+    def verdict(outcome: str, **fields) -> StreamingCheckReport:
+        discard_checkpoint()
+        return build_report(outcome, **fields)
+
     derived_empty = False
     events_since_checkpoint = 0
-    guard = _InterruptGuard()
+    # The per-event tail (gauges, interrupts, checkpoints, window
+    # shifts) has nothing to do in an unobserved in-memory check.
+    bookkeeping = obs is not None or checkpoint_path is not None \
+        or window_slack < math.inf
+    guard = _InterruptGuard(install=checkpoint_path is not None)
     try:
         with guard, build.phase("events"):
-            for streamed in reader:
-                index = streamed.index
-                event = streamed.event
+            for index, event in events:
                 if meter is not None:
                     reason = meter.exhausted(counters)
                     if reason is not None:
                         return partial(reason, index)
+                literals = event.literals
                 if event.kind == ADD:
-                    if meter is not None and event.literals:
+                    if meter is not None and literals:
                         reason = meter.exhausted(
                             live_clauses=live_additions + 1,
                             live_bytes=live_bytes()
-                            + (len(event.literals) + 1
+                            + (len(literals) + 1
                                + ENGINE_OVERHEAD_WORDS_PER_CLAUSE) * 4)
                         if reason is not None:
                             return partial(reason, index)
                     additions += 1
+                    if literals:
+                        top = max(map(abs, literals))
+                        if top > engine.num_vars:
+                            engine.ensure_vars(top)
                     if obs is None:
-                        passed = rup_check(event.literals)
+                        passed = rup_check(literals)
                     else:
                         with build.check(index, counters):
-                            passed = rup_check(event.literals)
+                            passed = rup_check(literals)
                     if not passed:
                         return verdict(
                             PROOF_IS_NOT_CORRECT,
                             failed_event_index=index,
-                            failure_reason=(f"addition {event.literals} "
-                                            "is not RUP"))
-                    if not event.literals:
+                            failure_reason=(
+                                f"addition {literals} is not RUP"))
+                    if not literals:
                         derived_empty = True
                         break
-                    load(event.literals)
+                    live_addition_words += load(literals)
                     loaded += 1
                     live_additions += 1
-                    live_addition_words += len(event.literals)
-                    peak = max(peak, len(live_lits))
+                    live += 1
+                    if live > peak:
+                        peak = live
                 else:
                     deletions += 1
-                    key = clause_key(event.literals)
-                    cids = active.get(key)
-                    if not cids:
-                        if not lenient_deletions:
-                            raise ProofFormatError(
-                                f"line {streamed.line_number}: deletion "
-                                f"of unknown or already-deleted clause "
-                                f"{list(event.literals)} (use "
-                                "lenient deletions to skip)")
-                        warnings.append(
-                            f"event {index}: skipped deletion of "
-                            f"unknown clause {list(event.literals)}")
-                    else:
+                    cids = active.get(_clause_key(literals))
+                    if cids:
                         cid = cids.pop()
+                        if cid >= num_formula:
+                            live_additions -= 1
+                            live_addition_words -= engine.clause_len(cid)
                         engine.remove_clause(cid)
                         units.pop(cid, None)
-                        lits = live_lits.pop(cid)
-                        findex = formula_index.pop(cid, None)
-                        if findex is not None:
-                            deleted_formula.add(findex)
-                        else:
-                            live_additions -= 1
-                            live_addition_words -= len(lits)
+                        live -= 1
+                    elif unknown_deletion == "reject":
+                        return verdict(
+                            PROOF_IS_NOT_CORRECT,
+                            failed_event_index=index,
+                            failure_reason=(
+                                f"deletion of inactive clause "
+                                f"{literals}"))
+                    elif unknown_deletion == "skip":
+                        warnings.append(
+                            f"event {index}: skipped deletion of "
+                            f"unknown clause {list(literals)}")
+                    else:
+                        where = (f"line {feed.last.line_number}"
+                                 if feed is not None else f"event {index}")
+                        raise ProofFormatError(
+                            f"{where}: deletion of unknown or "
+                            f"already-deleted clause {list(literals)} "
+                            "(use lenient deletions to skip)")
                     if build.progress is not None:
                         build.progress.update(additions + deletions)
-                set_live_gauges()
-                position = {"offset": streamed.offset,
-                            "next_line": streamed.line_number + 1,
-                            "next_index": index + 1}
+                if not bookkeeping:
+                    continue
+                applied = index
+                if obs is not None:
+                    set_live_gauges()
                 if guard.pending is not None:
                     raise _BoundaryInterrupt
-                events_since_checkpoint += 1
-                if checkpoint_path is not None \
-                        and events_since_checkpoint >= checkpoint_every:
-                    write_checkpoint()
-                    events_since_checkpoint = 0
-                dead = loaded - len(live_lits)
+                if checkpoint_path is not None:
+                    events_since_checkpoint += 1
+                    if events_since_checkpoint >= checkpoint_every:
+                        write_checkpoint()
+                        events_since_checkpoint = 0
+                dead = loaded - live
                 if dead >= _MIN_DEAD_FOR_SHIFT \
-                        and dead > window_slack * max(len(live_lits), 1):
+                        and dead > window_slack * (live or 1):
                     shift_window()
     except KeyboardInterrupt as exc:
         # Flush a final resume token before the interrupt propagates
@@ -684,14 +815,6 @@ def verify_stream(formula: CnfFormula, proof_path, *,
             write_checkpoint()
         raise
 
-    if obs is not None:
-        obs.counter_add("repro_drup_additions_total", additions,
-                        help="DRUP additions RUP-checked")
-        obs.counter_add("repro_drup_deletions_total", deletions,
-                        help="DRUP deletion events honored")
-        obs.gauge_set("repro_drup_peak_active_clauses", peak,
-                      help="Peak size of the active clause set")
-        record_arena_gauges(obs, engine)
     if not derived_empty:
         return verdict(
             PROOF_IS_NOT_CORRECT,

@@ -91,7 +91,7 @@ class TestForwardChecking:
     def test_accepts_correct_trace(self, tiny_unsat):
         report = check_drup(tiny_unsat, drup_of(tiny_unsat))
         assert report.ok
-        assert report.peak_active_clauses >= tiny_unsat.num_clauses
+        assert report.peak_live_clauses >= tiny_unsat.num_clauses
 
     def test_accepts_trace_with_deletions(self):
         formula = pigeonhole(6)
@@ -102,7 +102,7 @@ class TestForwardChecking:
         assert report.ok
         assert report.num_deletions > 0
         # Deletions bound the active set below additions + input.
-        assert (report.peak_active_clauses
+        assert (report.peak_live_clauses
                 < formula.num_clauses + proof.num_additions)
 
     def test_rejects_non_rup_addition(self):

@@ -221,6 +221,12 @@ class TestDeletionParity:
                                    engine_cls=engine)
             assert streamed.outcome == in_memory.outcome
             assert streamed.num_deletions == in_memory.num_deletions
+            assert streamed.peak_live_clauses \
+                == in_memory.peak_live_clauses
+            assert streamed.failed_event_index \
+                == in_memory.failed_event_index
+            assert streamed.bcp_counters["assignments"] \
+                == in_memory.bcp_counters["assignments"]
 
     def test_counting_refused_by_stream_and_forward(self, chain_files):
         from repro.proofs.drup import read_drup

@@ -28,7 +28,7 @@ from repro.cli import (
 from repro.core.dimacs import write_dimacs
 from repro.core.exceptions import CheckpointError, ProofFormatError
 from repro.core.formula import CnfFormula
-from repro.proofs.drup import format_drup, write_drup
+from repro.proofs.drup import format_drup, read_drup, write_drup
 from repro.verify import CheckBudget
 from repro.verify.forward import check_drup
 from repro.verify.report import (
@@ -88,6 +88,11 @@ class TestVerdicts:
         assert streamed.outcome == in_memory.outcome
         assert streamed.num_additions == in_memory.num_additions
         assert streamed.num_deletions == in_memory.num_deletions
+        assert streamed.peak_live_clauses == in_memory.peak_live_clauses
+        assert streamed.failed_event_index \
+            == in_memory.failed_event_index
+        assert streamed.bcp_counters["assignments"] \
+            == in_memory.bcp_counters["assignments"]
 
     def test_engines_agree_on_props(self, chain, chain_drup):
         formula, _ = chain
@@ -102,8 +107,28 @@ class TestVerdicts:
         formula = CnfFormula([[1, 2], [-1, 2], [1, -2], [-1, -2]])
         path = tmp_path / "bad.drup"
         path.write_text("3 0\n0\n")  # unconstrained fresh variable
-        report = verify_stream(CnfFormula(list(formula), num_vars=3),
-                               path)
+        report = verify_stream(formula, path)
+        assert report.outcome == PROOF_IS_NOT_CORRECT
+        assert report.failed_event_index == 0
+        assert "not RUP" in report.failure_reason
+
+    @pytest.mark.parametrize("engine", REMOVAL_ENGINES)
+    @pytest.mark.parametrize("entry", ["check_drup", "verify_stream"])
+    def test_variables_above_the_header(self, tmp_path, entry, engine):
+        # `p cnf 2 4`: the trace's variable 5 is in no formula clause.
+        formula = CnfFormula([[1, 2], [-1, 2], [1, -2], [-1, -2]])
+        assert formula.num_vars == 2
+
+        def check(text):
+            path = tmp_path / "fresh.drup"
+            path.write_text(text)
+            if entry == "check_drup":
+                return check_drup(formula, read_drup(path),
+                                  engine_cls=engine)
+            return verify_stream(formula, path, engine_cls=engine)
+
+        assert check("2 5 0\n2 0\n0\n").ok
+        report = check("5 0\n0\n")
         assert report.outcome == PROOF_IS_NOT_CORRECT
         assert report.failed_event_index == 0
         assert "not RUP" in report.failure_reason
