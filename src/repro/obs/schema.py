@@ -68,6 +68,11 @@ MEM_SCHEMA = "repro.obs.mem/v1"
 
 _EVENT_TYPES = ("header", "begin", "end", "event")
 
+# Work counters a timeline attribution row may carry (null when the
+# shard span did not report them).
+_SHARD_COUNTERS = ("checks", "props", "clause_visits", "watch_visits",
+                   "purged")
+
 # Metric-name prefixes whose values depend on pool scheduling when the
 # run used more than one worker process (see module docstring).
 _SCHEDULING_DEPENDENT_PREFIXES = (
@@ -506,6 +511,14 @@ def validate_timeline(doc) -> list[str]:
                                           (int, float)):
                     problems.append(f"{where} must carry a numeric "
                                     "wall time")
+                    continue
+                for key in _SHARD_COUNTERS:
+                    value = row.get(key)
+                    if value is not None and (
+                            not isinstance(value, int)
+                            or isinstance(value, bool) or value < 0):
+                        problems.append(f"{where}.{key} must be a "
+                                        "non-negative int or null")
     dropped = doc.get("dropped")
     if (not isinstance(dropped, dict)
             or not all(isinstance(dropped.get(k), int)

@@ -17,8 +17,9 @@ questions the raw log can't:
   wall-clock, computed by the classic trace-analysis walk: start at
   the span that ends last, recurse into the child that ends last
   before the cursor, move the cursor to that child's begin, repeat;
-* **attribution** — per-shard wall/checks/props/clause-visits rows
-  (plus per-shard ``peak_rss`` when workers reported it) and the top
+* **attribution** — per-shard wall/checks/props/clause-visits rows,
+  watch visits and purged watch entries (plus per-shard ``peak_rss``
+  when workers reported it) and the top
   stragglers, the section ``obs history`` persists so
   ``obs compare``/``check-regression`` can gate on utilization;
 * **memory** — every ``mem_sample`` instant event the
@@ -334,6 +335,8 @@ def _attribution(spans: list[dict], top: int = TOP_STRAGGLERS,
             "checks": attrs.get("checks"),
             "props": attrs.get("props"),
             "clause_visits": attrs.get("clause_visits"),
+            "watch_visits": attrs.get("watch_visits"),
+            "purged": attrs.get("purged"),
             "peak_rss": attrs.get("peak_rss"),
             "worker": span["worker"],
             "attempt": attrs.get("attempt", 0)})
@@ -623,11 +626,10 @@ def render_timeline_text(doc: dict) -> str:
         lines.append("")
         lines.append("top stragglers:")
         for row in attribution["top_stragglers"]:
-            props = row["props"]
-            line = (
-                f"  {row['key']:<24} wall={row['wall']:.3f}s "
-                f"checks={row['checks']} "
-                f"props={props if props is not None else '?'}")
+            line = f"  {row['key']:<24} wall={row['wall']:.3f}s"
+            for key in ("checks", "props", "watch_visits", "purged"):
+                value = row.get(key)
+                line += f" {key}={value if value is not None else '?'}"
             if isinstance(row.get("peak_rss"), (int, float)):
                 line += f" rss={format_bytes(row['peak_rss'])}"
             lines.append(line + f" on {row['worker']}")

@@ -85,8 +85,9 @@ class ProofChecker:
         self.meter = meter
         # Retirement permanently removes clauses above the ceiling from
         # the engine, which is only sound when the ceiling never rises
-        # again (a pure backward pass).  Shard workers that may revisit
-        # higher ceilings pass retire=False.
+        # again (a pure backward pass).  Forward passes pass
+        # retire=False; pool workers rebuild their checker when handed
+        # a shard above the retirement floor.
         self.retire = retire and mode == "incremental"
         num_vars = max(formula.num_vars, proof.max_var())
         self.engine = engine_cls(num_vars)

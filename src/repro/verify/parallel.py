@@ -39,10 +39,18 @@ failure it meets, and the parent reduces shard failures with max (for a
 backward pass: the first failure a sequential backward scan would hit is
 the *highest* failing index) or min (forward).
 
-Workers run the incremental checker with ``retire=False``: a worker may
-receive non-adjacent shards in any order, so clauses must never be
-permanently retired, but the persistent root trail still amortizes the
-unit pass within each shard.
+Backward incremental runs retire clauses in the workers as well
+(``retire=True``): once a worker has checked down to index ``i``, the
+clauses above ``i`` are purged from its watch lists for good, so the
+pool does the sequential pass's watch work rather than a multiple of
+it.  That is sound because every worker meets its shards in descending
+order: the parent submits them in scan order (top shard first) and the
+pool's FIFO queue hands them out in submission order.  A worker that is
+nonetheless handed a shard above its retirement floor rebuilds its
+checker, and says so with ``rebuilt`` on its :class:`ShardResult` and
+shard span.  Forward passes and rebuild mode keep ``retire=False``; the
+persistent root trail still amortizes the unit pass within each
+shard.
 
 Fault tolerance
 ---------------
@@ -106,7 +114,8 @@ _SHARD_SLOWEST = 5
 
 # Worker state: populated in the parent immediately before the pool's
 # workers fork so children inherit it, then extended per-process with
-# the lazily built checker (and the rebased budget meter).
+# the lazily built checker (and the rebased budget meter) and, on the
+# shared-memory transport, the attached arena a rebuilt checker reuses.
 _SHARED: dict = {}
 
 # Test-only fault injection: shard -> number of times a worker should
@@ -269,6 +278,7 @@ class ShardResult:
     slowest: tuple = ()
     trace: list = field(default_factory=list)
     depgraph: list = field(default_factory=list)
+    rebuilt: bool = False
 
 
 @dataclass
@@ -299,27 +309,41 @@ def _init_worker(spec: dict) -> None:
     _FAULTS.update(spec.get("faults") or {})
 
 
-def _worker_checker() -> ProofChecker:
+def _worker_checker(shard: tuple[int, int]) -> tuple[ProofChecker, bool]:
+    """This process's checker, able to check ``shard``, and whether it
+    had to be rebuilt for it.
+
+    A retiring checker whose retirement floor already sits below the
+    shard's top ceiling (shards met out of descending order) cannot
+    raise it again, so it is replaced by a fresh one.
+    """
     checker = _SHARED.get("checker")
-    if checker is None:
+    rebuilt = (checker is not None and checker.retire
+               and checker.cid_of_proof_clause(shard[1] - 1)
+               > checker.engine.retire_ceiling)
+    if checker is None or rebuilt:
         meter: BudgetMeter | None = _SHARED.get("meter")
         handle = _SHARED.get("arena")
+        retire = _SHARED["retire"]
         if handle is not None:
-            arena = ClauseArena.from_shared_memory(handle)
+            arena = _SHARED.get("attached")
+            if arena is None:
+                arena = ClauseArena.from_shared_memory(handle)
+                _SHARED["attached"] = arena
             checker = ProofChecker.from_arena(
                 arena, _SHARED["num_input"], mode=_SHARED["mode"],
-                retire=False)
+                retire=retire)
         else:
             checker = ProofChecker(
                 _SHARED["formula"], _SHARED["proof"],
                 _SHARED["engine_cls"], mode=_SHARED["mode"],
-                retire=False)
+                retire=retire)
         if meter is not None:
             # Fresh engine in this process: keep the shared deadline but
             # charge work units against this worker's own counters.
             checker.meter = meter.rebase(checker.engine.counters)
         _SHARED["checker"] = checker
-    return checker
+    return checker, rebuilt
 
 
 def _run_shard(checker: ProofChecker, shard: tuple[int, int],
@@ -329,7 +353,8 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                depgraph: bool = False,
                epoch_wall: float | None = None,
                trace_id: str | None = None,
-               attempt: int = 0) -> ShardResult:
+               attempt: int = 0,
+               rebuilt: bool = False) -> ShardResult:
     """Scan one shard in the requested direction (shared by the pool
     workers and the in-process degraded fallback).
 
@@ -341,8 +366,10 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
     this process's monotonic clock is unrelated, i.e. under spawn;
     see :func:`repro.obs.spans.rebase_epoch`).  The span's end attrs
     carry the shard's cost attribution (checks, wall, props,
-    clause_visits) and the ``attempt`` number that produced it, so
-    the timeline can tell a retried shard's spans apart.
+    clause_visits, watch_visits, purged), the ``attempt`` number that
+    produced it, so the timeline can tell a retried shard's spans
+    apart, and ``rebuilt`` when the worker had to rebuild its checker
+    for this shard.
     With ``depgraph`` set, each passing check's conflict-analysis
     antecedents are buffered as plain record dicts (shipped back in
     :attr:`ShardResult.depgraph`, merged order-free by the parent).
@@ -455,7 +482,9 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
             props=(delta.get("assignments", 0)
                    + delta.get("clause_visits", 0)),
             clause_visits=delta.get("clause_visits", 0),
-            peak_rss=peak_rss)
+            watch_visits=delta.get("watch_visits", 0),
+            purged=delta.get("purged", 0),
+            rebuilt=rebuilt, peak_rss=peak_rss)
         registry.histogram(
             "repro_shard_seconds",
             help="Wall time per shard").observe(duration)
@@ -466,7 +495,7 @@ def _run_shard(checker: ProofChecker, shard: tuple[int, int],
                        metrics=registry.snapshot() if registry else None,
                        slowest=tuple(sorted(slowest, reverse=True)),
                        trace=tracer.events if tracer else [],
-                       depgraph=records)
+                       depgraph=records, rebuilt=rebuilt)
 
 
 def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
@@ -475,14 +504,15 @@ def _shard_worker(shard: tuple[int, int], attempt: int) -> ShardResult:
         # Simulate an OOM kill / segfault: bypass Python teardown so the
         # parent sees exactly what a hard worker death looks like.
         os._exit(1)
-    return _run_shard(_worker_checker(), shard, _SHARED["order"],
+    checker, rebuilt = _worker_checker(shard)
+    return _run_shard(checker, shard, _SHARED["order"],
                       instrument=_SHARED.get("obs_enabled", False),
                       epoch=_SHARED.get("obs_epoch"),
                       run_id=_SHARED.get("obs_run"),
                       depgraph=_SHARED.get("depgraph_enabled", False),
                       epoch_wall=_SHARED.get("obs_epoch_wall"),
                       trace_id=_SHARED.get("obs_trace"),
-                      attempt=attempt)
+                      attempt=attempt, rebuilt=rebuilt)
 
 
 def _reduce(results: dict[tuple[int, int], ShardResult],
@@ -616,18 +646,19 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     ``plan`` is the :class:`~repro.verify.schedule.ShardPlan` to
     execute; ``None`` plans here (cost planner by default, with
     best-effort history calibration when ``instance`` names the run's
-    input).  Shards are dispatched in the plan's LPT order — largest
-    predicted cost first — so the pool never starts a long shard
-    last; verdicts and failure indices are plan-independent.
+    input).  Shards are dispatched in scan order, so on a backward
+    pass the costliest high-index shards start first and every worker
+    meets its shards in descending order, which lets backward
+    incremental workers retire clauses (see the module docstring);
+    verdicts and failure indices are plan-independent.
     """
     if plan is None:
         plan = planned_shards(formula, proof, jobs, mode, order,
                               instance)
-    shards = list(plan.shards)
+    shards = plan.scan_order(order)
+    retire = order == "backward" and mode == "incremental"
     sink = _ObsSink(obs, builder, len(shards))
-    sink.event("shard_plan", **plan.as_event())
-    dispatch_rank = {shard: rank for rank, shard
-                     in enumerate(plan.dispatch_shards())}
+    sink.event("shard_plan", **plan.as_event(order))
     requested = engine_name(engine_cls)
     method, use_shm, worker_cls = select_backend(engine_cls,
                                                  start_method)
@@ -670,17 +701,17 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
         handle = arena.to_shared_memory()
         initializer = _init_worker
         initargs = ({"arena": handle, "num_input": num_input,
-                     "order": order, "mode": mode, "meter": meter,
-                     "faults": dict(_FAULTS), **obs_fields},)
+                     "order": order, "mode": mode, "retire": retire,
+                     "meter": meter, "faults": dict(_FAULTS),
+                     **obs_fields},)
     else:
         _SHARED.update(formula=formula, proof=proof,
                        engine_cls=engine_cls, order=order, mode=mode,
-                       meter=meter, **obs_fields)
+                       retire=retire, meter=meter, **obs_fields)
     context = get_context(method)
     try:
         for attempt in (0, 1):
-            pending = sorted((s for s in shards if s not in results),
-                             key=lambda s: dispatch_rank.get(s, 0))
+            pending = [s for s in shards if s not in results]
             if not pending or _budget_hit(results):
                 break
             if attempt == 1:
@@ -694,6 +725,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
             executor = ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending)), mp_context=context,
                 initializer=initializer, initargs=initargs)
+            collected = False
             try:
                 futures = {
                     executor.submit(_shard_worker, shard, attempt): shard
@@ -723,10 +755,15 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                                        shard=list(shard),
                                        attempt=attempt)
                     sink.queue_depth(len(not_done))
+                collected = not not_done
             finally:
-                # cancel_futures covers the deadline-passed early exit;
-                # wait=False so a straggler cannot wedge the parent.
-                executor.shutdown(wait=False, cancel_futures=True)
+                # Every future collected: join the pool, so no manager
+                # thread outlives the run.  Otherwise (the deadline
+                # early exit, or a checker bug propagating) cancel the
+                # queue and do not wait, so a straggler cannot wedge
+                # the parent.
+                executor.shutdown(wait=collected,
+                                  cancel_futures=not collected)
     finally:
         _SHARED.clear()
         if arena is not None:
@@ -771,10 +808,11 @@ def _run_degraded(formula: CnfFormula, proof: ConflictClauseProof,
                   meter: BudgetMeter | None,
                   sink: "_ObsSink | None" = None) -> ShardRunResult:
     """In-process sequential fallback for shards the pool never
-    finished.  Scans shards in deterministic scan order so the reduced
-    failure index still matches a sequential run."""
+    finished.  Scans shards in deterministic scan order, so the reduced
+    failure index still matches a sequential run and a backward pass
+    can retire clauses as it goes."""
     checker = ProofChecker(formula, proof, engine_cls, mode=mode,
-                           retire=False)
+                           retire=(order == "backward"))
     if meter is not None:
         checker.meter = meter.rebase(checker.engine.counters)
     instrument = sink is not None and sink.obs is not None

@@ -26,21 +26,16 @@ This module plans shards by *predicted cost* instead:
   piecewise-constant sample of the true cost-vs-index curve.
 * :func:`plan_shards` — partitions the index range into contiguous
   shards of (approximately) equal *predicted* cost, clamped so every
-  shard carries at least :data:`MIN_CHECKS_PER_SHARD` checks, and
-  orders dispatch largest-predicted-first (LPT) so the pool never
-  starts a long shard last.  Shards stay contiguous ``(lo, hi)``
-  ranges: the fault-tolerant backend's first-failure reduction, retry
-  keying and the incremental checker's root-trail amortization all
-  rely on contiguity, and a contiguous equal-cost partition already
-  removes the systematic skew (the residual within-shard variance is
-  what the 4x over-sharding absorbs).
-* :func:`plan_verification2` — the marked-clause-first variant: when a
-  marked set is known ahead of time (a previous run's marking, a
-  trimmed proof's kept set), the replay sweep should check marked
-  clauses first — they are the ones that extend the marking — and
-  only then the speculative remainder.  The plan orders indices
-  marked-first (descending within each group, matching the marking
-  pass's scan direction) and shards that ordering by predicted cost.
+  shard carries at least :data:`MIN_CHECKS_PER_SHARD` checks.  Shards
+  stay contiguous ``(lo, hi)`` ranges: the fault-tolerant backend's
+  first-failure reduction, retry keying and the incremental checker's
+  root-trail amortization and clause retirement all rely on
+  contiguity, and a contiguous equal-cost partition already removes
+  the systematic skew (the residual within-shard variance is what the
+  4x over-sharding absorbs).  The backend dispatches shards in scan
+  order (:meth:`ShardPlan.scan_order`): a backward pass starts at the
+  top shard, so every worker meets its shards in descending order and
+  can retire the clauses above each one for good.
 
 ``REPRO_SHARD_PLANNER`` selects the planner globally: ``cost`` (the
 default) or ``contiguous`` (the legacy equal-count split, kept as an
@@ -118,20 +113,14 @@ class ShardPlan:
     """A deterministic sharding of a check-index range.
 
     ``shards`` are contiguous ``(lo, hi)`` bounds partitioning
-    ``range(n)``; ``predicted`` the planner's cost estimate per shard
-    (same order); ``dispatch`` the submission order as indices into
-    ``shards`` (largest predicted cost first).  ``indices`` is None
-    for an identity plan over ``range(n)``; a verification2 replay
-    plan stores the reordered check indices there, and shard bounds
-    then address *positions* in that sequence.
+    ``range(n)`` in ascending order; ``predicted`` the planner's cost
+    estimate per shard (same order).
     """
 
     shards: tuple[tuple[int, int], ...]
     predicted: tuple[float, ...]
-    dispatch: tuple[int, ...]
     planner: str
     source: str
-    indices: tuple[int, ...] | None = None
 
     def predicted_skew(self) -> float:
         """Max/mean predicted shard cost — 1.0 is perfectly balanced
@@ -141,19 +130,20 @@ class ShardPlan:
         mean = sum(self.predicted) / len(self.predicted)
         return max(self.predicted) / mean if mean > 0 else 1.0
 
-    def dispatch_shards(self) -> list[tuple[int, int]]:
-        """The shard bounds in dispatch (LPT) order."""
-        return [self.shards[i] for i in self.dispatch]
+    def scan_order(self, order: str = "backward") -> list[tuple[int, int]]:
+        """The shard bounds in the order a pass in ``order`` meets them
+        (highest first for a backward pass) — the dispatch order."""
+        return sorted(self.shards, reverse=(order == "backward"))
 
-    def as_event(self) -> dict:
+    def as_event(self, order: str = "backward") -> dict:
         """Compact attrs for the ``shard_plan`` obs event."""
         return {
             "planner": self.planner,
             "source": self.source,
             "shards": len(self.shards),
             "predicted_skew": round(self.predicted_skew(), 4),
-            "first_dispatched": (list(self.shards[self.dispatch[0]])
-                                 if self.dispatch else None),
+            "first_dispatched": (list(self.scan_order(order)[0])
+                                 if self.shards else None),
         }
 
 
@@ -256,8 +246,7 @@ def predict_costs(num_input: int, widths: Sequence[int],
 def plan_shards(costs: Sequence[float], jobs: int,
                 planner: str | None = None,
                 min_checks: int = MIN_CHECKS_PER_SHARD,
-                source: str = "static",
-                indices: Sequence[int] | None = None) -> ShardPlan:
+                source: str = "static") -> ShardPlan:
     """Partition ``range(len(costs))`` into contiguous shards of equal
     predicted cost (``cost`` planner) or equal count (``contiguous``).
 
@@ -270,8 +259,7 @@ def plan_shards(costs: Sequence[float], jobs: int,
     n = len(costs)
     num_shards = shard_count(n, jobs, min_checks)
     if num_shards <= 0:
-        return ShardPlan((), (), (), planner, "empty",
-                         tuple(indices) if indices is not None else None)
+        return ShardPlan((), (), planner, "empty")
     total = float(sum(costs))
     if planner == "cost" and (num_shards == 1 or total <= 0
                               or total != total or total == float("inf")):
@@ -286,7 +274,9 @@ def plan_shards(costs: Sequence[float], jobs: int,
         # k/num_shards quantile.  A cut must leave at least
         # min_checks behind it and min_checks per shard still to
         # come — feasible by construction, since shard_count() caps
-        # num_shards at n // min_checks.
+        # num_shards at n // min_checks.  When the quantile lies past
+        # the last index that leaves room for the shards still to
+        # come, the cut is made there instead of never.
         min_keep = min(min_checks, max(1, n // num_shards))
         bounds = [0]
         acc = 0.0
@@ -296,19 +286,16 @@ def plan_shards(costs: Sequence[float], jobs: int,
             cuts_left = num_shards - len(bounds)
             if cuts_left <= 0:
                 break
-            if acc >= target * len(bounds) \
-                    and i + 1 - bounds[-1] >= min_keep \
-                    and n - (i + 1) >= cuts_left * min_keep:
+            room = n - (i + 1) - cuts_left * min_keep
+            if (acc >= target * len(bounds) or room == 0) \
+                    and i + 1 - bounds[-1] >= min_keep and room >= 0:
                 bounds.append(i + 1)
         bounds.append(n)
     shards = tuple((bounds[k], bounds[k + 1])
                    for k in range(len(bounds) - 1)
                    if bounds[k] < bounds[k + 1])
     predicted = tuple(float(sum(costs[lo:hi])) for lo, hi in shards)
-    dispatch = tuple(sorted(range(len(shards)),
-                            key=lambda k: (-predicted[k], k)))
-    return ShardPlan(shards, predicted, dispatch, planner_used, source,
-                     tuple(indices) if indices is not None else None)
+    return ShardPlan(shards, predicted, planner_used, source)
 
 
 def plan_verification1(num_input: int, widths: Sequence[int],
@@ -333,36 +320,3 @@ def plan_verification1(num_input: int, widths: Sequence[int],
               if calibration is not None else "static")
     return plan_shards(costs, jobs, planner=planner, source=source)
 
-
-def marked_first_order(num_indices: int,
-                       marked: Sequence[int]) -> list[int]:
-    """Check order for a replay sweep with a known marked set: marked
-    indices first, then the rest, each group descending (the marking
-    pass's own direction, so marking extensions are met before the
-    speculative tail runs)."""
-    marked_set = {i for i in marked if 0 <= i < num_indices}
-    front = sorted(marked_set, reverse=True)
-    back = [i for i in range(num_indices - 1, -1, -1)
-            if i not in marked_set]
-    return front + back
-
-
-def plan_verification2(num_input: int, widths: Sequence[int],
-                       marked: Sequence[int], jobs: int,
-                       mode: str = "incremental",
-                       planner: str | None = None) -> ShardPlan:
-    """The verification2 replay plan: marked-clause-first ordering,
-    sharded by predicted cost over that ordering.
-
-    The plan's ``indices`` carries the reordered check sequence and
-    its shard bounds address positions in it — shard ``(lo, hi)``
-    covers ``plan.indices[lo:hi]``.  Used when a marked set is known
-    ahead of time (a prior run's marking, a trimmed proof's kept set)
-    and the replay should establish the core before spending workers
-    on the speculative remainder.
-    """
-    ordered = marked_first_order(len(widths), marked)
-    costs = predict_costs(num_input, widths, mode)
-    return plan_shards([costs[i] for i in ordered], jobs,
-                       planner=planner, source="marked-first",
-                       indices=ordered)

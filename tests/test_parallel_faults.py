@@ -306,3 +306,156 @@ class TestSpawnTraceRebasing:
             assert span["end"] <= pool["end"] + slack
         assert doc["utilization"] is not None
         assert doc["dropped"]["orphans"] == 0
+
+
+@pytest.fixture(scope="module")
+def mid_failure(instance):
+    """The proof with a fresh-variable unit injected half way: every
+    other check still passes, so the first failure a backward scan
+    meets is exactly the injected index, with shards above and below
+    it."""
+    formula, proof = instance
+    fresh = max(formula.num_vars, proof.max_var()) + 1
+    clauses = list(proof.clauses)
+    middle = len(clauses) // 2
+    clauses.insert(middle, (fresh,))
+    return formula, ConflictClauseProof(clauses), middle
+
+
+class TestRetirementInPool:
+    """Backward incremental workers retire clauses above each shard:
+    the pool's watch work stays near the sequential pass's, and
+    verdicts and failure indices stay those of ``--jobs 1``."""
+
+    @pytest.mark.parametrize("engine,start_method", [
+        ("watched", "fork"), ("arena", "fork"), ("arena", "spawn")])
+    def test_pooled_watch_visits_near_sequential(self, instance, engine,
+                                                 start_method):
+        import multiprocessing
+
+        from repro.bcp import resolve_engine
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"platform has no {start_method} start method")
+        formula, proof = instance
+        engine_cls = resolve_engine(engine)
+        sequential = verify_proof_v1(formula, proof, engine_cls,
+                                     mode="incremental")
+        run = run_sharded_v1(formula, proof, engine_cls, "backward",
+                             "incremental", 2, start_method=start_method)
+        assert run.failed_index is None
+        assert run.num_checked == sequential.num_checked == len(proof)
+        assert run.counters["purged"] > 0
+        assert (run.counters["watch_visits"]
+                <= 1.25 * sequential.bcp_counters["watch_visits"])
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("engine", ["watched", "arena"])
+    def test_shards_out_of_order_rebuild_the_checker(
+            self, mid_failure, monkeypatch, engine, ascending):
+        """One worker (here: in process) handed its shards in ascending
+        order rebuilds its checker for every shard after the first
+        instead of raising; in descending order it never does.  Either
+        way the reduced verdict is the sequential one."""
+        from repro.bcp import resolve_engine
+        from repro.bcp.arena import build_arena
+
+        formula, proof, middle = mid_failure
+        spec = {"order": "backward", "mode": "incremental",
+                "retire": True}
+        arena = None
+        if engine == "arena":
+            arena, num_input = build_arena(formula, proof)
+            spec.update(arena=arena.to_shared_memory(),
+                        num_input=num_input)
+        else:
+            spec.update(formula=formula, proof=proof,
+                        engine_cls=resolve_engine(engine))
+        monkeypatch.setattr(parallel, "_SHARED", spec)
+        shards = planned_shards(formula, proof, 2).scan_order(
+            "forward" if ascending else "backward")
+        try:
+            results = {shard: parallel._shard_worker(shard, 0)
+                       for shard in shards}
+        finally:
+            if arena is not None:
+                spec["attached"].detach()
+                arena.release_shared(unlink=True)
+        rebuilds = [results[s].rebuilt for s in shards]
+        assert rebuilds == [False] + [ascending] * (len(shards) - 1)
+        assert sum(r.counter_delta["purged"]
+                   for r in results.values()) > 0
+        run = parallel._reduce(results, "backward", 0, [])
+        sequential = verify_proof_v1(formula, proof, mode="incremental")
+        assert run.failed_index == sequential.failed_clause_index \
+            == middle
+
+    def test_degraded_fallback_retires(self, mid_failure, monkeypatch):
+        from repro.bcp.watched import WatchedPropagator
+
+        formula, proof, middle = mid_failure
+        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        monkeypatch.setattr(parallel, "get_all_start_methods",
+                            lambda: [])
+        run = run_sharded_v1(formula, proof, WatchedPropagator,
+                             "backward", "incremental", 4)
+        assert run.failed_index == middle
+        assert run.counters["purged"] > 0
+
+    def test_forward_order_unchanged(self, mid_failure):
+        """Forward passes raise the ceiling, so their workers keep
+        ``retire=False``: nothing is purged and the failure index is
+        the sequential forward scan's."""
+        from repro.bcp.watched import WatchedPropagator
+        from repro.obs import MetricsRegistry, Obs, Tracer
+
+        formula, proof, middle = mid_failure
+        sequential = verify_proof_v1(formula, proof, order="forward",
+                                     mode="incremental")
+        obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
+        run = run_sharded_v1(formula, proof, WatchedPropagator,
+                             "forward", "incremental", 2, obs=obs)
+        assert run.failed_index == sequential.failed_clause_index \
+            == middle
+        assert run.counters["purged"] == 0
+        plan_event = next(e for e in obs.tracer.events
+                          if e.get("name") == "shard_plan")
+        first = _shards(formula, proof, jobs=2)[0]
+        assert plan_event["attrs"]["first_dispatched"] == list(first)
+
+    @pytest.mark.parametrize("deaths", [1, 2])
+    @pytest.mark.parametrize("position", [0, "middle", -1])
+    def test_worker_death_keeps_failure_index(self, mid_failure,
+                                              position, deaths):
+        formula, proof, middle = mid_failure
+        shards = _shards(formula, proof)
+        if position == "middle":
+            shard = next(s for s in shards if s[0] <= middle < s[1])
+        else:
+            shard = shards[position]
+        install_fault(shard, deaths=deaths)
+        sequential = verify_proof_v1(formula, proof, mode="incremental")
+        report = verify_proof_v1(formula, proof, jobs=4,
+                                 mode="incremental")
+        assert report.worker_failures >= 1
+        assert not report.ok
+        assert report.failed_clause_index \
+            == sequential.failed_clause_index == middle
+
+
+class TestPoolShutdown:
+    def test_no_manager_thread_outlives_the_run(self, instance):
+        """A run whose futures were all collected joins its pool: no
+        executor manager thread is left to race interpreter exit."""
+        import threading
+        from concurrent.futures.process import _ExecutorManagerThread
+
+        from repro.bcp.watched import WatchedPropagator
+
+        formula, proof = instance
+        run = run_sharded_v1(formula, proof, WatchedPropagator,
+                             "backward", "incremental", 2)
+        assert run.failed_index is None
+        assert not [t for t in threading.enumerate()
+                    if isinstance(t, _ExecutorManagerThread)
+                    and t.is_alive()]

@@ -18,10 +18,8 @@ from repro.verify.schedule import (
     Calibration,
     ShardPlan,
     load_calibration,
-    marked_first_order,
     plan_shards,
     plan_verification1,
-    plan_verification2,
     planner_choice,
     predict_costs,
     shard_count,
@@ -78,7 +76,8 @@ class TestPlanShards:
     def test_empty(self):
         plan = plan_shards([], 4)
         assert plan.shards == ()
-        assert plan.dispatch == ()
+        assert plan.scan_order() == []
+        assert plan.as_event()["first_dispatched"] is None
         assert plan.source == "empty"
 
     def test_single_check(self):
@@ -112,11 +111,30 @@ class TestPlanShards:
         assert all(hi - lo >= min(16, 101 // len(plan.shards))
                    for lo, hi in plan.shards)
 
-    def test_dispatch_is_lpt(self):
+    def test_cost_planner_cuts_every_shard_on_a_short_ramp(self):
+        """A quantile lying past the last cut that leaves room for the
+        remaining shards is cut there, not skipped: skipping it used
+        to collapse a 168-check plan for 4 jobs into one shard."""
+        costs = [float(50 + i) for i in range(168)]
+        plan = plan_shards(costs, 4, planner="cost")
+        _assert_partition(plan, 168)
+        assert len(plan.shards) == shard_count(168, 4)
+        assert all(hi - lo >= MIN_CHECKS_PER_SHARD
+                   for lo, hi in plan.shards)
+
+    def test_dispatch_is_scan_order(self):
+        """Shards are dispatched in the order a pass meets them: a
+        backward pass starts at the top shard (so each worker's shards
+        descend and it can retire clauses), a forward pass at the
+        bottom one."""
         costs = [float(i + 1) for i in range(512)]
         plan = plan_shards(costs, 4, planner="cost")
-        dispatched = [plan.predicted[i] for i in plan.dispatch]
-        assert dispatched == sorted(dispatched, reverse=True)
+        backward = plan.scan_order("backward")
+        assert backward == sorted(plan.shards, reverse=True)
+        assert plan.scan_order("forward") == list(plan.shards)
+        assert plan.as_event()["first_dispatched"] == list(backward[0])
+        assert plan.as_event("forward")["first_dispatched"] \
+            == list(plan.shards[0])
 
     def test_degenerate_costs_fall_back_contiguous(self):
         for costs in ([0.0] * 64, [float("nan")] * 64,
@@ -210,23 +228,6 @@ class TestCalibration:
         assert load_calibration("x.cnf",
                                 directory=str(tmp_path / "no")) is None
         assert load_calibration(None) is None
-
-
-class TestPlanVerification2:
-    def test_marked_first_order(self):
-        order = marked_first_order(6, [1, 4])
-        assert order == [4, 1, 5, 3, 2, 0]
-        # Out-of-range marks are dropped, not crashed on.
-        assert marked_first_order(3, [7, -1, 2]) == [2, 1, 0]
-
-    def test_replay_plan_covers_every_position(self):
-        widths = [4] * 120
-        plan = plan_verification2(10, widths, [5, 80, 100], 4)
-        assert plan.source == "marked-first"
-        assert sorted(plan.indices) == list(range(120))
-        _assert_partition(plan, 120)  # bounds address positions
-        # The first positions are the marked set, descending.
-        assert list(plan.indices[:3]) == [100, 80, 5]
 
 
 class TestBackendIntegration:

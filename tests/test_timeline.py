@@ -33,7 +33,7 @@ class FakeClock:
 
 def _worker_events(clock, epoch, lo, hi, begin, end, pid,
                    attempt=0, checks=1, props=10, clause_visits=5,
-                   with_check_child=False):
+                   watch_visits=12, purged=3, with_check_child=False):
     """Record one worker-side shard span exactly the way
     ``repro.verify.parallel._run_shard`` does: lo/hi/pid/attempt on
     the begin, cost counters folded into the end attrs."""
@@ -48,7 +48,8 @@ def _worker_events(clock, epoch, lo, hi, begin, end, pid,
         clock.now = end
     worker.events[-1]["attrs"].update(
         checks=checks, wall=end - begin, props=props,
-        clause_visits=clause_visits)
+        clause_visits=clause_visits, watch_visits=watch_visits,
+        purged=purged)
     return worker.events
 
 
@@ -267,6 +268,25 @@ class TestTimelineValidator:
         problems = validate_timeline(doc)
         assert any("utilization" in p for p in problems)
         assert any("ghost" in p for p in problems)
+
+    def test_watch_counters_carried_and_checked(self):
+        """Shard spans' watch_visits/purged reach the attribution rows
+        and the straggler lines; the validator accepts them as
+        non-negative ints (or null, for spans that did not report
+        them) and flags anything else."""
+        doc = build_timeline(make_parallel_trace().events)
+        rows = doc["attribution"]["shards"]
+        assert [r["watch_visits"] for r in rows] == [12, 12, 12]
+        assert [r["purged"] for r in rows] == [3, 3, 3]
+        assert validate_timeline(doc) == []
+        assert "watch_visits=12 purged=3" in render_timeline_text(doc)
+        rows[0]["purged"] = None
+        assert validate_timeline(doc) == []
+        rows[1]["watch_visits"] = -1
+        rows[2]["purged"] = "3"
+        problems = validate_timeline(doc)
+        assert any("shards[1].watch_visits" in p for p in problems)
+        assert any("shards[2].purged" in p for p in problems)
 
     def test_flags_wrong_schema(self):
         assert validate_timeline({"schema": "nope"}) != []
