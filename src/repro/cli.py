@@ -346,8 +346,8 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                             "times, props, and slowest checks")
     group.add_argument("--profile", metavar="PATH", default=None,
                        help="wrap the run in cProfile; writes PATH "
-                            "(pstats), PATH.folded (flamegraph "
-                            "collapsed stacks) and PATH.phases.json")
+                            "(pstats) and PATH.folded (flamegraph "
+                            "collapsed stacks)")
     group.add_argument("--history-dir", metavar="DIR",
                        default=default_history_dir(),
                        help="run-history store directory (default: "
@@ -362,20 +362,11 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                        help="write a live status file here on every "
                             "progress beat, for 'repro obs top' "
                             "(default: $REPRO_LIVE_DIR)")
-    group.add_argument("--mem-out", metavar="PATH", default=None,
-                       help="write the measured-memory artifact here "
-                            "(schema repro.obs.mem/v1: RSS samples, "
-                            "peaks, arena gauges)")
     group.add_argument("--mem-sample-period", type=float, default=None,
                        metavar="SECONDS",
                        help="also sample RSS on a background thread "
                             "every SECONDS (default: one sample per "
                             "progress heartbeat only)")
-    group.add_argument("--mem-profile", action="store_true",
-                       help="attribute allocation peaks to phases "
-                            "with tracemalloc (expensive — adds a "
-                            "tracemalloc section to --mem-out and "
-                            "the history fingerprint)")
     if insight:
         group.add_argument("--depgraph-out", metavar="PATH",
                            default=None,
@@ -417,14 +408,12 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
                        and not getattr(args, "no_history", True)))
     wants_depgraph = _wants_insight(args)
     live_dir = getattr(args, "live_dir", None)
-    wants_mem_doc = getattr(args, "mem_out", None) is not None
-    mem_profile = getattr(args, "mem_profile", False)
-    mem_period = getattr(args, "mem_sample_period", None)
-    # The mem artifact's gauges (RSS peaks, arena accounting) live in
-    # the metrics registry, so asking for memory telemetry implies one
-    # even without --metrics-out/--stats.
-    wants_metrics = (wants_metrics or wants_mem_doc or mem_profile
-                     or mem_period is not None)
+    # The sampler's gauges (RSS peaks, arena accounting) live in the
+    # metrics registry, so asking for memory sampling implies one even
+    # without --metrics-out/--stats.
+    wants_metrics = (wants_metrics
+                     or getattr(args, "mem_sample_period", None)
+                     is not None)
     if not (wants_metrics or wants_trace or args.progress
             or wants_depgraph or live_dir is not None):
         return None
@@ -433,7 +422,7 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
     # costs nothing on runs without a heartbeat, and it is what feeds
     # the live view's RSS columns, the timeline memory lane, and the
     # fingerprint's memory section.
-    from repro.obs.mem import MemProfiler, MemSampler
+    from repro.obs.mem import MemSampler
 
     return Obs(
         metrics=MetricsRegistry() if wants_metrics else None,
@@ -443,8 +432,7 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
         live_dir=live_dir,
         live_meta={"command": args.command,
                    "instance": getattr(args, "cnf", None)},
-        mem=MemSampler(),
-        mem_profiler=MemProfiler() if mem_profile else None)
+        mem=MemSampler())
 
 
 def _write_obs_artifacts(obs: Obs | None, args: argparse.Namespace,
@@ -474,40 +462,6 @@ def _write_obs_artifacts(obs: Obs | None, args: argparse.Namespace,
     if args.trace_out is not None and obs.tracer is not None:
         obs.tracer.write_jsonl(args.trace_out)
         print(f"c trace written to {args.trace_out}")
-    mem_out = getattr(args, "mem_out", None)
-    if mem_out is not None and obs.mem is not None:
-        from repro.obs.mem import write_mem_json
-
-        run = {"id": obs.run_id, "command": args.command,
-               "interrupted": report is None}
-        write_mem_json(mem_out, obs.mem, run,
-                       arena=_mem_arena_section(obs),
-                       profile=obs.mem_profiler)
-        print(f"c memory telemetry written to {mem_out}")
-
-
-def _mem_arena_section(obs: Obs | None) -> dict | None:
-    """The mem artifact's ``arena`` section, recovered from the
-    ``repro_mem_arena_*`` gauges (their max-merge already folded
-    worker peaks in); None when no arena-backed engine reported."""
-    if obs is None or obs.metrics is None:
-        return None
-    snapshot = obs.metrics.snapshot()
-
-    def peak(name):
-        entry = snapshot.get(name)
-        if entry is None or entry.get("kind") != "gauge":
-            return None
-        return entry["value"]["max"]
-
-    pool = peak("repro_mem_arena_pool_bytes")
-    if pool is None:
-        return None
-    return {"pool_bytes": int(pool),
-            "live_bytes": int(peak("repro_mem_arena_live_bytes") or 0),
-            "watch_entries": int(peak("repro_mem_watch_entries") or 0),
-            "fragmentation": float(
-                peak("repro_mem_arena_fragmentation") or 0.0)}
 
 
 def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
@@ -585,10 +539,10 @@ def _record_history(obs: Obs | None, args: argparse.Namespace, report,
 
 def _mem_history_section(obs: Obs | None) -> dict | None:
     """The fingerprint's ``memory`` section: measured peak RSS (the
-    ``--max-peak-rss-growth`` gate input), arena peak, and the top
-    tracemalloc sites when ``--mem-profile`` captured them.  None when
-    the run had no sampler or it never produced a reading — an
-    unmeasured run must not gate."""
+    ``--max-peak-rss-growth`` gate input) and the arena peak, read
+    from the max-merged ``repro_mem_arena_pool_bytes`` gauge (worker
+    peaks already folded in).  None when the run had no sampler or it
+    never produced a reading — an unmeasured run must not gate."""
     if obs is None or obs.mem is None:
         return None
     summary = obs.mem.summary()
@@ -598,13 +552,10 @@ def _mem_history_section(obs: Obs | None) -> dict | None:
               "rss_bytes": summary["rss_bytes"],
               "source": summary["source"],
               "num_samples": summary["num_samples"]}
-    arena = _mem_arena_section(obs)
-    if arena is not None:
-        memory["arena_peak_bytes"] = arena["pool_bytes"]
-    if obs.mem_profiler is not None:
-        profile = obs.mem_profiler.document()
-        if profile is not None:
-            memory["tracemalloc_top"] = profile["top"][:5]
+    metrics = obs.metrics
+    if metrics is not None and "repro_mem_arena_pool_bytes" in metrics:
+        memory["arena_peak_bytes"] = int(metrics.gauge(
+            "repro_mem_arena_pool_bytes").snapshot()["max"])
     return memory
 
 
@@ -636,23 +587,21 @@ def _run_instrumented(args: argparse.Namespace, obs: Obs | None, run,
             _write_insight_artifacts(obs, args, None, formula, proof)
         _write_obs_artifacts(obs, args, None)
         if profiler is not None:
-            _write_profile(args, profiler, None)
+            _write_profile(args, profiler)
         return None
     _finish_mem(obs)
     if profiler is not None:
         profiler.disable()
-        _write_profile(args, profiler, report)
+        _write_profile(args, profiler)
     return report
 
 
 def _start_mem(args: argparse.Namespace, obs: Obs | None) -> None:
     """Arm the memory facilities for one run: a first sample (so even
     a heartbeat-less run records a baseline), the optional background
-    sampling thread, and the optional tracemalloc profiler."""
+    sampling thread."""
     if obs is None:
         return
-    if obs.mem_profiler is not None:
-        obs.mem_profiler.start()
     if obs.mem is not None:
         obs.mem.sample()
         period = getattr(args, "mem_sample_period", None)
@@ -662,26 +611,18 @@ def _start_mem(args: argparse.Namespace, obs: Obs | None) -> None:
 
 def _finish_mem(obs: Obs | None) -> None:
     """Disarm them: stop the thread, take a final sample (the peak a
-    short run would otherwise miss), stop tracemalloc."""
+    short run would otherwise miss)."""
     if obs is None:
         return
     if obs.mem is not None:
         obs.mem.stop()
         obs.mem.sample()
-    if obs.mem_profiler is not None:
-        obs.mem_profiler.stop()
 
 
-def _write_profile(args: argparse.Namespace, profiler, report) -> None:
+def _write_profile(args: argparse.Namespace, profiler) -> None:
     from repro.obs.insight import write_profile
 
-    written = write_profile(
-        args.profile, profiler,
-        phase_times=(report.stats.phase_times
-                     if report is not None and report.stats is not None
-                     else None),
-        total_time=(report.verification_time
-                    if report is not None else None))
+    written = write_profile(args.profile, profiler)
     print(f"c profile written to {written[0]} "
           f"(+{len(written) - 1} sidecar(s))")
 

@@ -13,10 +13,8 @@ A zero-dependency observability layer for the verification pipeline:
   and per-shard attribution;
 * :class:`ProgressReporter` heartbeat lines, optionally mirrored to
   :mod:`repro.obs.live` status files for ``repro obs top``;
-* the :mod:`repro.obs.mem` resource profiler — heartbeat-riding RSS
-  sampling (:class:`MemSampler`), arena-native memory gauges,
-  optional tracemalloc phase attribution (:class:`MemProfiler`), and
-  the ``repro.obs.mem/v1`` artifact;
+* the :mod:`repro.obs.mem` resource sampler — heartbeat-riding RSS
+  sampling (:class:`MemSampler`) and arena-native memory gauges;
 * exporters (JSON summary, Prometheus text, ``c stats:`` footer) and
   schema validators for every artifact kind;
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs,
@@ -62,15 +60,12 @@ from repro.obs.live import (
     read_live_statuses,
 )
 from repro.obs.mem import (
-    MemProfiler,
     MemSampler,
     arena_mem_stats,
-    mem_document,
     parse_proc_status,
     read_rss,
     record_arena_gauges,
     reset_peak_rss,
-    write_mem_json,
 )
 from repro.obs.progress import ProgressReporter
 from repro.obs.registry import (
@@ -85,7 +80,6 @@ from repro.obs.schema import (
     CHECKPOINT_SCHEMA,
     KNOWN_SCHEMAS,
     LIVE_SCHEMA,
-    MEM_SCHEMA,
     METRICS_SCHEMA,
     TIMELINE_SCHEMA,
     TRACE_SCHEMA,
@@ -95,7 +89,6 @@ from repro.obs.schema import (
     validate_checkpoint,
     validate_depgraph,
     validate_live,
-    validate_mem,
     validate_metrics,
     validate_timeline,
     validate_trace,
@@ -177,15 +170,10 @@ __all__ = [
     "read_live_statuses",
     "format_top_table",
     "format_bytes",
-    "MEM_SCHEMA",
-    "validate_mem",
     "MemSampler",
-    "MemProfiler",
     "read_rss",
     "reset_peak_rss",
     "parse_proc_status",
     "arena_mem_stats",
     "record_arena_gauges",
-    "mem_document",
-    "write_mem_json",
 ]

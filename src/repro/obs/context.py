@@ -20,10 +20,7 @@ see it at all, and no registry, tracer, or clock is touched.  An
 * ``mem`` — a :class:`~repro.obs.mem.MemSampler`; it rides the
   progress heartbeat (one RSS read per beat) and feeds the same
   metrics registry and tracer, so memory samples carry the run's
-  trace context.  A ``mem_profiler``
-  (:class:`~repro.obs.mem.MemProfiler`) additionally marks traced
-  allocation peaks at span boundaries when ``--mem-profile`` asked
-  for it.
+  trace context.
 
 The helpers (`span`, `event`, `counter_add`, ...) are null-safe with
 respect to the *facilities* — an ``Obs`` with only a tracer ignores
@@ -58,8 +55,7 @@ class Obs:
                  depgraph=None,
                  live_dir=None,
                  live_meta: dict | None = None,
-                 mem=None,
-                 mem_profiler=None):
+                 mem=None):
         if run_id is None:
             run_id = tracer.run_id if tracer is not None else make_run_id()
         self.run_id = run_id
@@ -67,7 +63,6 @@ class Obs:
         self.tracer = tracer
         self.depgraph = depgraph
         self.mem = mem
-        self.mem_profiler = mem_profiler
         if mem is not None:
             mem.bind(metrics, tracer)
         self.progress_stream = progress_stream
@@ -105,24 +100,9 @@ class Obs:
     # -- tracing -----------------------------------------------------------
 
     def span(self, name: str, **attrs):
-        if self.mem_profiler is not None:
-            return self._profiled_span(name, **attrs)
         if self.tracer is None:
             return _NULL
         return self.tracer.span(name, **attrs)
-
-    @contextmanager
-    def _profiled_span(self, name: str, **attrs):
-        """A span that also marks the tracemalloc phase attribution at
-        its boundary (``--mem-profile`` only — never the default
-        path)."""
-        inner = (self.tracer.span(name, **attrs)
-                 if self.tracer is not None else _NULL)
-        with inner as end_attrs:
-            try:
-                yield end_attrs
-            finally:
-                self.mem_profiler.mark(name)
 
     def event(self, name: str, **attrs) -> None:
         if self.tracer is not None:

@@ -27,8 +27,8 @@ Fingerprint schema (``repro.obs.run/v1``)::
      "checks": 120, "props": 5113, "props_per_sec": 124707.3,
      "checks_per_sec": 2926.8, "phase_times": {"setup": ..., ...},
      "analytics": {"local_clauses": ..., ...} | null,
-     "memory": {"peak_rss_bytes": ..., "arena_peak_bytes": ...,
-                "tracemalloc_top": [...]} | null}
+     "memory": {"peak_rss_bytes": ..., "arena_peak_bytes": ...}
+               | null}
 
 Selectors: runs are addressed by integer position (``0`` first,
 ``-1`` latest) or by a unique run-id prefix.
@@ -81,7 +81,7 @@ def fingerprint(report, *, run_id: str, command: str,
     :func:`repro.obs.timeline.attribution_summary` (``None`` for
     sequential runs or runs without tracing); ``memory`` is the
     measured-memory section (``peak_rss_bytes``, optional
-    ``arena_peak_bytes``/``tracemalloc_top``) from the run's
+    ``arena_peak_bytes``) from the run's
     :class:`~repro.obs.mem.MemSampler`, ``None`` when sampling was
     off or never produced a reading.
     """

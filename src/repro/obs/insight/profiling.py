@@ -1,16 +1,16 @@
 """cProfile hooks: ``--profile out.prof`` and flamegraph export.
 
 Wraps a verification run in the stdlib deterministic profiler and
-writes three artifacts, all atomically:
+writes two artifacts, both atomically:
 
 * ``out.prof`` — the binary :mod:`pstats` dump, loadable with
   ``python -m pstats`` or snakeviz;
 * ``out.prof.folded`` — collapsed stacks (``frame;frame;frame count``)
   ready for ``flamegraph.pl`` / speedscope, produced by
-  :func:`repro.obs.export.collapsed_stack_text`;
-* ``out.prof.phases.json`` — per-phase attribution: the report's
-  phase wall times next to the profiler's total, so a flamegraph can
-  be read against the phase breakdown.
+  :func:`repro.obs.export.collapsed_stack_text`.
+
+The per-phase wall times to read a flamegraph against are in the
+metrics document's ``stats`` section and the ``--stats`` footer.
 
 Profiling is strictly opt-in (the disabled path never imports
 cProfile at run time) and composes with every other obs facility: the
@@ -25,7 +25,6 @@ runs when chasing engine hot spots.
 from __future__ import annotations
 
 import cProfile
-import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -47,19 +46,16 @@ def profile_session():
         profiler.disable()
 
 
-def write_profile(path, profiler: cProfile.Profile,
-                  phase_times: dict | None = None,
-                  total_time: float | None = None) -> list[str]:
+def write_profile(path, profiler: cProfile.Profile) -> list[str]:
     """Write the profile artifact set; returns the paths written.
 
     The binary dump lands via a temp file + ``os.replace`` (pstats'
-    own writer is not atomic); the folded and phase sidecars go
-    through :func:`~repro.obs.export.atomic_write_text`.
+    own writer is not atomic); the folded sidecar goes through
+    :func:`~repro.obs.export.atomic_write_text`.
     """
     from repro.obs.export import atomic_write_text, collapsed_stack_text
 
     path = os.fspath(path)
-    written = []
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path),
                                suffix=".tmp", dir=directory)
@@ -71,20 +67,6 @@ def write_profile(path, profiler: cProfile.Profile,
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    written.append(path)
-
     folded = path + ".folded"
     atomic_write_text(folded, collapsed_stack_text(profiler))
-    written.append(folded)
-
-    if phase_times is not None:
-        phases_path = path + ".phases.json"
-        doc = {"phase_times": {name: round(seconds, 6)
-                               for name, seconds
-                               in sorted(phase_times.items())},
-               "total_time": (round(total_time, 6)
-                              if total_time is not None else None)}
-        atomic_write_text(
-            phases_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(phases_path)
-    return written
+    return [path, folded]

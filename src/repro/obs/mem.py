@@ -1,4 +1,4 @@
-"""Measured memory telemetry: RSS sampling, arena gauges, tracemalloc.
+"""Measured memory telemetry: RSS sampling and arena gauges.
 
 Everything else in ``repro.obs`` counts *work*; this module measures
 what the work *costs in resident memory* — the quantity that actually
@@ -23,19 +23,16 @@ memory-bound long before they are CPU-bound).  Three layers:
   watch-table entries), turning the streaming budget's *estimated*
   bytes into numbers that can be cross-checked against measured RSS.
 
-The artifact (`repro.obs.mem/v1`, ``--mem-out``) is one JSON document:
-``{schema, run, summary, samples, arena, tracemalloc}``; tracemalloc
-phase attribution is opt-in (``--mem-profile``) because tracing
-allocations is the one genuinely expensive facility here.
+There is no memory artifact of its own: samples land in the trace
+(``mem_sample`` events, the timeline memory lane), peaks and arena
+accounting in the metrics document (``repro_mem_*`` gauges), and the
+run summary in the history fingerprint's ``memory`` section.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-
-MEM_SCHEMA = "repro.obs.mem/v1"
 
 PROC_STATUS_PATH = "/proc/self/status"
 CLEAR_REFS_PATH = "/proc/self/clear_refs"
@@ -311,101 +308,3 @@ def record_arena_gauges(obs, engine) -> dict | None:
     obs.gauge_set("repro_mem_watch_entries", stats["watch_entries"],
                   help="Watch-table entries across all literals")
     return stats
-
-
-# -- tracemalloc phase attribution ----------------------------------------
-
-class MemProfiler:
-    """Optional tracemalloc-backed phase attribution (``--mem-profile``).
-
-    Allocation tracing is the one expensive facility in this module
-    (every allocation takes a traceback), so it is off by default and
-    gated behind an explicit flag; the measured overhead is recorded
-    by the benchmark harness alongside the sampler's.  Phase marks
-    record the traced current/peak at span boundaries and reset the
-    traced peak, so each phase's peak is its own."""
-
-    def __init__(self, top: int = 10):
-        self.top = top
-        self.phases: dict[str, dict] = {}
-        self.top_allocations: list[dict] = []
-        self.active = False
-
-    def start(self) -> None:
-        try:
-            import tracemalloc
-
-            tracemalloc.start()
-            self.active = True
-        except Exception:
-            self.active = False
-
-    def mark(self, phase: str) -> None:
-        """Record the traced current/peak against ``phase`` and reset
-        the peak for the next one."""
-        if not self.active:
-            return
-        try:
-            import tracemalloc
-
-            current, peak = tracemalloc.get_traced_memory()
-            entry = self.phases.setdefault(
-                phase, {"current_bytes": 0, "peak_bytes": 0})
-            entry["current_bytes"] = current
-            entry["peak_bytes"] = max(entry["peak_bytes"], peak)
-            tracemalloc.reset_peak()
-        except Exception:
-            pass
-
-    def stop(self) -> None:
-        if not self.active:
-            return
-        try:
-            import tracemalloc
-
-            snapshot = tracemalloc.take_snapshot()
-            stats = snapshot.statistics("lineno")[:self.top]
-            self.top_allocations = [
-                {"site": f"{stat.traceback[0].filename}:"
-                         f"{stat.traceback[0].lineno}",
-                 "size_bytes": stat.size, "count": stat.count}
-                for stat in stats]
-            tracemalloc.stop()
-        except Exception:
-            pass
-        self.active = False
-
-    def document(self) -> dict | None:
-        if not self.phases and not self.top_allocations:
-            return None
-        return {"phases": self.phases, "top": self.top_allocations}
-
-
-# -- the artifact ----------------------------------------------------------
-
-def mem_document(sampler: MemSampler, run: dict,
-                 arena: dict | None = None,
-                 profile: MemProfiler | None = None) -> dict:
-    """The ``repro.obs.mem/v1`` document for ``--mem-out``."""
-    return {
-        "schema": MEM_SCHEMA,
-        "run": dict(run),
-        "summary": sampler.summary(),
-        "samples": list(sampler.samples),
-        "arena": arena,
-        "tracemalloc": (profile.document()
-                        if profile is not None else None),
-    }
-
-
-def write_mem_json(path, sampler: MemSampler, run: dict,
-                   arena: dict | None = None,
-                   profile: MemProfiler | None = None) -> dict:
-    import json
-
-    from repro.obs.export import atomic_write_text
-
-    doc = mem_document(sampler, run, arena=arena, profile=profile)
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True)
-                      + "\n")
-    return doc

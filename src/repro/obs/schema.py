@@ -1,6 +1,6 @@
 """Artifact schemas for the observability layer, plus validators.
 
-Four artifact kinds leave a verification run:
+Seven artifact schemas are defined here:
 
 * a **metrics document** (``repro.obs.metrics/v1``) — one JSON object
   holding the run header, the registry snapshot, and the report's
@@ -24,11 +24,7 @@ Four artifact kinds leave a verification run:
   :mod:`repro.obs.timeline`);
 * a **live status file** (``repro.obs.live/v1``) — one JSON object
   per in-flight run, atomically replaced on every progress beat and
-  read by ``repro obs top`` (see :mod:`repro.obs.live`);
-* a **memory telemetry document** (``repro.obs.mem/v1``) — one JSON
-  object with the run's sampled RSS trajectory, peak summary, arena
-  gauges, and optional tracemalloc phase attribution (see
-  :mod:`repro.obs.mem`), written by ``--mem-out``.
+  read by ``repro obs top`` (see :mod:`repro.obs.live`).
 
 :data:`KNOWN_SCHEMAS` maps each schema id to its validator;
 :func:`validate_any` dispatches on a document's declared schema and
@@ -64,7 +60,6 @@ ANALYTICS_SCHEMA = "repro.obs.analytics/v1"
 CHECKPOINT_SCHEMA = "repro.obs.checkpoint/v1"
 TIMELINE_SCHEMA = "repro.obs.timeline/v1"
 LIVE_SCHEMA = "repro.obs.live/v1"
-MEM_SCHEMA = "repro.obs.mem/v1"
 
 _EVENT_TYPES = ("header", "begin", "end", "event")
 
@@ -572,105 +567,6 @@ def validate_live(doc) -> list[str]:
     return problems
 
 
-_MEM_SOURCES = ("proc", "getrusage", None)
-
-
-def validate_mem(doc) -> list[str]:
-    """Structural problems of a memory telemetry document (empty:
-    valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"mem document must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != MEM_SCHEMA:
-        problems.append(f"schema must be {MEM_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("run"), dict):
-        problems.append("missing 'run' header object")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("missing 'summary' object")
-        summary = {}
-    else:
-        for key in ("peak_rss_bytes", "rss_bytes"):
-            value = summary.get(key)
-            if value is not None \
-                    and (not isinstance(value, int) or value < 0):
-                problems.append(f"summary.{key} must be null or a "
-                                f"non-negative int, got {value!r}")
-        for key in ("num_samples", "sampler_failures"):
-            value = summary.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"summary.{key} must be a non-negative "
-                                f"int, got {value!r}")
-        if summary.get("source") not in _MEM_SOURCES:
-            problems.append(
-                f"summary.source must be one of "
-                f"{[s for s in _MEM_SOURCES if s]} or null, "
-                f"got {summary.get('source')!r}")
-        if not isinstance(summary.get("sampler_dead"), bool):
-            problems.append("summary.sampler_dead must be a bool")
-    samples = doc.get("samples")
-    if not isinstance(samples, list):
-        problems.append("missing 'samples' list")
-        samples = []
-    last_ts = None
-    for position, sample in enumerate(samples):
-        where = f"samples[{position}]"
-        if not isinstance(sample, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        ts = sample.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"{where}.ts must be a number")
-        else:
-            if last_ts is not None and ts < last_ts:
-                problems.append(f"{where}: timestamps must be "
-                                f"non-decreasing ({ts} < {last_ts})")
-            last_ts = ts
-        for key in ("rss_bytes", "peak_rss_bytes"):
-            value = sample.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"{where}.{key} must be a non-negative "
-                                f"int, got {value!r}")
-    if isinstance(summary.get("num_samples"), int) \
-            and summary["num_samples"] != len(samples):
-        problems.append(f"summary.num_samples "
-                        f"({summary['num_samples']}) must equal "
-                        f"len(samples) ({len(samples)})")
-    arena = doc.get("arena")
-    if arena is not None:
-        if not isinstance(arena, dict):
-            problems.append("arena, when present, must be an object")
-        else:
-            for key in ("pool_bytes", "live_bytes", "watch_entries"):
-                value = arena.get(key)
-                if not isinstance(value, int) or value < 0:
-                    problems.append(f"arena.{key} must be a "
-                                    f"non-negative int, got {value!r}")
-            frag = arena.get("fragmentation")
-            if not isinstance(frag, (int, float)) \
-                    or not 0.0 <= frag <= 1.0:
-                problems.append("arena.fragmentation must be a number "
-                                f"in [0, 1], got {frag!r}")
-    profile = doc.get("tracemalloc")
-    if profile is not None:
-        if not isinstance(profile, dict) \
-                or not isinstance(profile.get("phases"), dict) \
-                or not isinstance(profile.get("top"), list):
-            problems.append("tracemalloc, when present, must carry "
-                            "'phases' and 'top'")
-        else:
-            for position, entry in enumerate(profile["top"]):
-                where = f"tracemalloc.top[{position}]"
-                if not isinstance(entry, dict) \
-                        or not isinstance(entry.get("site"), str) \
-                        or not isinstance(entry.get("size_bytes"), int):
-                    problems.append(f"{where} must carry a string site "
-                                    "and int size_bytes")
-    return problems
-
-
 # Schema id -> (artifact kind, validator).  JSONL kinds take the parsed
 # line list; JSON kinds take the single document object.
 KNOWN_SCHEMAS = {
@@ -681,7 +577,6 @@ KNOWN_SCHEMAS = {
     CHECKPOINT_SCHEMA: ("json", validate_checkpoint),
     TIMELINE_SCHEMA: ("json", validate_timeline),
     LIVE_SCHEMA: ("json", validate_live),
-    MEM_SCHEMA: ("json", validate_mem),
 }
 
 
@@ -706,6 +601,10 @@ def validate_any(artifact) -> list[str]:
         known = ", ".join(sorted(KNOWN_SCHEMAS))
         return [f"unknown schema id {schema!r}; known schemas: {known}"]
     kind, validator = KNOWN_SCHEMAS[schema]
+    if kind == "jsonl" and isinstance(artifact, dict):
+        # A one-record JSONL file (a header-only trace or depgraph)
+        # parses as a single JSON object.
+        artifact = [artifact]
     if kind == "json" and not isinstance(artifact, dict):
         return [f"{schema} artifacts are single JSON objects, "
                 f"got {type(artifact).__name__}"]

@@ -93,6 +93,21 @@ class TestObservabilityDoc:
                      "rebase_epoch", "critical path",
                      "python -m repro.obs.validate"):
             assert term in doc, term
+        # The artifact inventory has one row per schema id.
+        from repro.obs import KNOWN_SCHEMAS, RUN_SCHEMA
+
+        rows = {line.split("|")[1].strip().strip("`")
+                for line in doc.splitlines()
+                if line.startswith("| `repro.obs.")}
+        assert rows == set(KNOWN_SCHEMAS) | {RUN_SCHEMA}
+        # Deleted surfaces stay out of every doc.  The names are built
+        # from pieces so a repo-wide grep for them still finds nothing.
+        gone = ("--mem-" + "out", "--mem-" + "profile",
+                "repro.obs.mem" + "/v1")
+        for path in [REPO / "README.md", *(REPO / "docs").glob("*.md")]:
+            text = path.read_text()
+            for name in gone:
+                assert name not in text, (path.name, name)
 
     def test_metric_catalogue_matches_code(self):
         """Every metric name the verify layer registers is in the
