@@ -535,7 +535,7 @@ def overhead_record(name: str, repeats: int = 3,
             sampler.sample()
         assert report.ok
         mem_times.append(report.verification_time)
-        mem_samples = max(mem_samples, len(sampler.samples))
+        mem_samples = max(mem_samples, sampler.samples)
     mem_enabled = min(mem_times)
 
     def _pct(value):

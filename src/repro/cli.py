@@ -192,8 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(stream_cmd)
 
     obs_cmd = sub.add_parser(
-        "obs", help="inspect run history, timelines, and live runs; "
-                    "detect regressions")
+        "obs", help="inspect run history and timelines; gate a run's "
+                    "work counters against a baseline")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
     history_cmd = obs_sub.add_parser(
@@ -237,24 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="suppress the text rendering on "
                                    "stdout")
 
-    top_cmd = obs_sub.add_parser(
-        "top", help="show in-flight runs from their live status files")
-    top_cmd.add_argument("--live-dir", metavar="DIR",
-                         default=None,
-                         help="live status directory (default: "
-                              "$REPRO_LIVE_DIR or .repro/live)")
-    top_cmd.add_argument("--follow", action="store_true",
-                         help="keep refreshing until every run is "
-                              "done or stale (Ctrl-C to stop)")
-    top_cmd.add_argument("--interval", type=float, default=2.0,
-                         metavar="SECONDS",
-                         help="refresh interval with --follow "
-                              "(default 2.0)")
-    top_cmd.add_argument("--stale-after", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="mark a run stale after this long "
-                              "without a heartbeat (default 30)")
-
     compare_cmd = obs_sub.add_parser(
         "compare", help="per-metric delta table between two runs")
     compare_cmd.add_argument("a", help="baseline run: history index "
@@ -266,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     regress_cmd = obs_sub.add_parser(
         "check-regression",
-        help="compare a run against a baseline; exit 3 past thresholds")
+        help="gate a run's exact work counters (outcome, checks, "
+             "props) against a baseline; exit 3 when they differ")
     regress_cmd.add_argument("--baseline", required=True,
                              metavar="FILE|SELECTOR",
                              help="baseline fingerprint: a JSON file "
@@ -278,30 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "history entry)")
     regress_cmd.add_argument("--history-dir", metavar="DIR",
                              default=default_history_dir())
-    regress_cmd.add_argument("--max-wall-pct", type=float, default=None,
-                             metavar="PCT",
-                             help="fail when wall time grew more than "
-                                  "PCT%% over the baseline")
-    regress_cmd.add_argument("--max-props-drop-pct", type=float,
-                             default=None, metavar="PCT",
-                             help="fail when props/s throughput dropped "
-                                  "more than PCT%%")
-    regress_cmd.add_argument("--max-phase-pct", type=float, default=None,
-                             metavar="PCT",
-                             help="fail when any phase time grew more "
-                                  "than PCT%%")
-    regress_cmd.add_argument("--min-utilization", type=float,
-                             default=None, metavar="PCT",
-                             help="fail when the current run's "
-                                  "recorded worker utilization is "
-                                  "below PCT%% (parallel runs with an "
-                                  "attribution section)")
-    regress_cmd.add_argument("--max-peak-rss-growth", type=float,
-                             default=None, metavar="PCT",
-                             help="fail when measured peak RSS grew "
-                                  "more than PCT%% over the baseline "
-                                  "(runs whose fingerprints carry a "
-                                  "memory section)")
     return parser
 
 
@@ -357,11 +316,6 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
     group.add_argument("--no-history", action="store_true",
                        help="do not append this run's fingerprint to "
                             "the history store")
-    group.add_argument("--live-dir", metavar="DIR",
-                       default=os.environ.get("REPRO_LIVE_DIR"),
-                       help="write a live status file here on every "
-                            "progress beat, for 'repro obs top' "
-                            "(default: $REPRO_LIVE_DIR)")
     group.add_argument("--mem-sample-period", type=float, default=None,
                        metavar="SECONDS",
                        help="also sample RSS on a background thread "
@@ -376,16 +330,11 @@ def _add_obs_arguments(cmd: argparse.ArgumentParser,
                            default=None,
                            help="write the proof dependency graph here "
                                 "in Graphviz DOT")
-        group.add_argument("--analytics-out", metavar="PATH",
-                           default=None,
-                           help="write proof-shape analytics here "
-                                "(schema repro.obs.analytics/v1)")
 
 
 def _wants_insight(args: argparse.Namespace) -> bool:
     return (getattr(args, "depgraph_out", None) is not None
-            or getattr(args, "depgraph_dot", None) is not None
-            or getattr(args, "analytics_out", None) is not None)
+            or getattr(args, "depgraph_dot", None) is not None)
 
 
 def _obs_from(args: argparse.Namespace) -> Obs | None:
@@ -407,7 +356,6 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
                    or ((getattr(args, "jobs", 1) or 1) > 1
                        and not getattr(args, "no_history", True)))
     wants_depgraph = _wants_insight(args)
-    live_dir = getattr(args, "live_dir", None)
     # The sampler's gauges (RSS peaks, arena accounting) live in the
     # metrics registry, so asking for memory sampling implies one even
     # without --metrics-out/--stats.
@@ -415,12 +363,12 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
                      or getattr(args, "mem_sample_period", None)
                      is not None)
     if not (wants_metrics or wants_trace or args.progress
-            or wants_depgraph or live_dir is not None):
+            or wants_depgraph):
         return None
     # Any instrumented run gets the RSS sampler: it only fires on
     # progress beats (or its own --mem-sample-period thread), so it
     # costs nothing on runs without a heartbeat, and it is what feeds
-    # the live view's RSS columns, the timeline memory lane, and the
+    # the heartbeat's rss field, the timeline memory lane, and the
     # fingerprint's memory section.
     from repro.obs.mem import MemSampler
 
@@ -429,9 +377,6 @@ def _obs_from(args: argparse.Namespace) -> Obs | None:
         tracer=Tracer() if wants_trace else None,
         progress_stream=sys.stderr if args.progress else None,
         depgraph=DepGraphRecorder() if wants_depgraph else None,
-        live_dir=live_dir,
-        live_meta={"command": args.command,
-                   "instance": getattr(args, "cnf", None)},
         mem=MemSampler())
 
 
@@ -466,7 +411,7 @@ def _write_obs_artifacts(obs: Obs | None, args: argparse.Namespace,
 
 def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
                              report, formula, proof):
-    """Write --depgraph-out/--depgraph-dot/--analytics-out artifacts.
+    """Write --depgraph-out/--depgraph-dot artifacts.
 
     Returns the computed :class:`ProofShapeAnalytics` (or None), so
     the stats footer and the history fingerprint reuse it.  Tolerates
@@ -476,8 +421,7 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
     if obs is None or obs.depgraph is None:
         return None
     from repro.obs import write_depgraph_dot, write_depgraph_jsonl
-    from repro.obs.insight import analyze_proof_shape, \
-        write_analytics_json
+    from repro.obs.insight import analyze_proof_shape
 
     run = {"id": obs.run_id, "command": args.command,
            "cnf": args.cnf, "interrupted": report is None}
@@ -504,11 +448,7 @@ def _write_insight_artifacts(obs: Obs | None, args: argparse.Namespace,
         print(f"c depgraph DOT written to {args.depgraph_dot}")
     if report is None:
         return None
-    analytics = analyze_proof_shape(proof, report, obs.depgraph)
-    if args.analytics_out is not None:
-        write_analytics_json(args.analytics_out, analytics, run)
-        print(f"c analytics written to {args.analytics_out}")
-    return analytics
+    return analyze_proof_shape(proof, report, obs.depgraph)
 
 
 def _record_history(obs: Obs | None, args: argparse.Namespace, report,
@@ -538,11 +478,11 @@ def _record_history(obs: Obs | None, args: argparse.Namespace, report,
 
 
 def _mem_history_section(obs: Obs | None) -> dict | None:
-    """The fingerprint's ``memory`` section: measured peak RSS (the
-    ``--max-peak-rss-growth`` gate input) and the arena peak, read
-    from the max-merged ``repro_mem_arena_pool_bytes`` gauge (worker
-    peaks already folded in).  None when the run had no sampler or it
-    never produced a reading — an unmeasured run must not gate."""
+    """The fingerprint's ``memory`` section: measured peak RSS and the
+    arena peak, read from the max-merged ``repro_mem_arena_pool_bytes``
+    gauge (worker peaks already folded in).  None when the run had no
+    sampler or it never produced a reading — absence means "not
+    measured", never zero."""
     if obs is None or obs.mem is None:
         return None
     summary = obs.mem.summary()
@@ -912,32 +852,8 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.obs.live import (
-        all_settled,
-        format_top_table,
-        read_live_statuses,
-    )
-
-    live_dir = (args.live_dir or os.environ.get("REPRO_LIVE_DIR")
-                or os.path.join(DEFAULT_HISTORY_DIR, "live"))
-    while True:
-        statuses = read_live_statuses(live_dir)
-        now = _time.time()
-        print(format_top_table(statuses, now=now,
-                               stale_after=args.stale_after), end="")
-        if not args.follow:
-            return 0
-        if statuses and all_settled(statuses, now=now,
-                                    stale_after=args.stale_after):
-            return 0
-        _time.sleep(args.interval)
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import HistoryStore, check_regression, compare_runs
+    from repro.obs import HistoryStore, check_regression
     from repro.obs.insight import (
         format_compare_table,
         format_history,
@@ -946,8 +862,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.obs_command == "timeline":
         return _cmd_obs_timeline(args)
-    if args.obs_command == "top":
-        return _cmd_obs_top(args)
     store = HistoryStore(args.history_dir)
     if args.obs_command == "history":
         if getattr(args, "history_command", None) == "prune":
@@ -966,27 +880,23 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     try:
         if args.obs_command == "compare":
             a, b = resolve(args.a), resolve(args.b)
-            print(format_compare_table(a, b, compare_runs(a, b)))
+            print(format_compare_table(a, b))
             return 0
         baseline = resolve(args.baseline)
         current = resolve(args.current)
-        violations = check_regression(
-            baseline, current,
-            max_wall_pct=args.max_wall_pct,
-            max_props_drop_pct=args.max_props_drop_pct,
-            max_phase_pct=args.max_phase_pct,
-            min_utilization_pct=args.min_utilization,
-            max_peak_rss_growth_pct=args.max_peak_rss_growth)
-    except LookupError as exc:
+        regressions = check_regression(baseline, current)
+    except (LookupError, ValueError) as exc:
         print(f"c error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"c baseline {baseline.get('id')} vs current "
           f"{current.get('id')}")
-    if violations:
-        for violation in violations:
-            print(f"c regression: {violation}")
+    # Wall time, rates, phases and memory are trend-only output.
+    print(format_compare_table(baseline, current))
+    for regression in regressions:
+        print(f"c regression: {regression}")
+    if regressions:
         return EXIT_RESOURCE_LIMIT
-    print("c no regression past thresholds")
+    print("c no regression: outcome, checks and props are exact")
     return 0
 
 

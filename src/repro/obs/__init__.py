@@ -11,15 +11,17 @@ A zero-dependency observability layer for the verification pipeline:
 * the :mod:`repro.obs.timeline` reconstructor — one global timeline
   per trace with utilization, idle gaps, shard skew, critical path,
   and per-shard attribution;
-* :class:`ProgressReporter` heartbeat lines, optionally mirrored to
-  :mod:`repro.obs.live` status files for ``repro obs top``;
+* :class:`ProgressReporter` heartbeat lines (``c progress:``, each
+  ending with the beat's RSS reading);
 * the :mod:`repro.obs.mem` resource sampler — heartbeat-riding RSS
   sampling (:class:`MemSampler`) and arena-native memory gauges;
 * exporters (JSON summary, Prometheus text, ``c stats:`` footer) and
-  schema validators for every artifact kind;
+  validators for the five artifact schemas (metrics, trace, depgraph,
+  checkpoint, timeline);
 * the :mod:`repro.obs.insight` subpackage — proof dependency graphs,
-  Section-5 shape analytics, the run-history store with regression
-  detection, and cProfile/flamegraph hooks.
+  Section-5 shape analytics, and the run-history store whose exact
+  work-counter gate (``repro obs check-regression``) CI runs, plus
+  cProfile/flamegraph hooks.
 
 Instrumentation is strictly opt-in: every entry point takes
 ``obs: Obs | None = None`` and the disabled path never touches this
@@ -38,7 +40,6 @@ from repro.obs.export import (
     write_metrics_prometheus,
 )
 from repro.obs.insight import (
-    ANALYTICS_SCHEMA,
     DEPGRAPH_SCHEMA,
     RUN_SCHEMA,
     DepGraphRecorder,
@@ -49,19 +50,13 @@ from repro.obs.insight import (
     compare_runs,
     depgraph_deterministic_view,
     fingerprint,
-    write_analytics_json,
     write_depgraph_dot,
     write_depgraph_jsonl,
-)
-from repro.obs.live import (
-    LiveStatusWriter,
-    format_bytes,
-    format_top_table,
-    read_live_statuses,
 )
 from repro.obs.mem import (
     MemSampler,
     arena_mem_stats,
+    format_bytes,
     parse_proc_status,
     read_rss,
     record_arena_gauges,
@@ -79,16 +74,13 @@ from repro.obs.registry import (
 from repro.obs.schema import (
     CHECKPOINT_SCHEMA,
     KNOWN_SCHEMAS,
-    LIVE_SCHEMA,
     METRICS_SCHEMA,
     TIMELINE_SCHEMA,
     TRACE_SCHEMA,
     deterministic_view,
-    validate_analytics,
     validate_any,
     validate_checkpoint,
     validate_depgraph,
-    validate_live,
     validate_metrics,
     validate_timeline,
     validate_trace,
@@ -125,7 +117,6 @@ __all__ = [
     "validate_metrics",
     "validate_trace",
     "validate_depgraph",
-    "validate_analytics",
     "validate_any",
     "deterministic_view",
     "depgraph_deterministic_view",
@@ -140,7 +131,6 @@ __all__ = [
     "check_regression",
     "compare_runs",
     "fingerprint",
-    "write_analytics_json",
     "write_depgraph_dot",
     "write_depgraph_jsonl",
     "KNOWN_SCHEMAS",
@@ -149,15 +139,12 @@ __all__ = [
     "validate_checkpoint",
     "TRACE_SCHEMA",
     "DEPGRAPH_SCHEMA",
-    "ANALYTICS_SCHEMA",
     "RUN_SCHEMA",
     "METRICS_FORMATS",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_WORK_BUCKETS",
     "TIMELINE_SCHEMA",
-    "LIVE_SCHEMA",
     "validate_timeline",
-    "validate_live",
     "make_trace_id",
     "rebase_epoch",
     "worker_tracer",
@@ -166,9 +153,6 @@ __all__ = [
     "render_timeline_text",
     "render_timeline_html",
     "write_timeline_json",
-    "LiveStatusWriter",
-    "read_live_statuses",
-    "format_top_table",
     "format_bytes",
     "MemSampler",
     "read_rss",

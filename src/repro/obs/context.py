@@ -18,9 +18,9 @@ see it at all, and no registry, tracer, or clock is touched.  An
   proof dependency graph), and the parallel parent folds worker
   record buffers in like metric snapshots;
 * ``mem`` — a :class:`~repro.obs.mem.MemSampler`; it rides the
-  progress heartbeat (one RSS read per beat) and feeds the same
-  metrics registry and tracer, so memory samples carry the run's
-  trace context.
+  progress heartbeat (one RSS read per beat, printed at the end of
+  the ``c progress:`` line) and feeds the same metrics registry and
+  tracer, so memory samples carry the run's trace context.
 
 The helpers (`span`, `event`, `counter_add`, ...) are null-safe with
 respect to the *facilities* — an ``Obs`` with only a tracer ignores
@@ -53,8 +53,6 @@ class Obs:
                  progress_interval: float = 0.5,
                  run_id: str | None = None,
                  depgraph=None,
-                 live_dir=None,
-                 live_meta: dict | None = None,
                  mem=None):
         if run_id is None:
             run_id = tracer.run_id if tracer is not None else make_run_id()
@@ -67,13 +65,6 @@ class Obs:
             mem.bind(metrics, tracer)
         self.progress_stream = progress_stream
         self.progress_interval = progress_interval
-        # The live view rides the progress heartbeat: a live_dir turns
-        # progress on even without a console stream (console stays
-        # quiet, the status file still updates — see repro.obs.live).
-        self.live_dir = live_dir
-        self.live_meta = dict(live_meta or {})
-        self.wants_progress = (progress_stream is not None
-                               or live_dir is not None)
         self.started = time.perf_counter()
 
     @classmethod
@@ -191,22 +182,11 @@ class Obs:
 
     def progress_reporter(self, total: int,
                           label: str = "checks") -> ProgressReporter | None:
-        if not self.wants_progress:
+        if self.progress_stream is None:
             return None
-        status_writer = None
-        if self.live_dir is not None:
-            from repro.obs.live import LiveStatusWriter
-
-            status_writer = LiveStatusWriter(
-                self.live_dir, self.run_id, meta=self.live_meta,
-                mem_provider=(self.mem.live_view
-                              if self.mem is not None else None))
         return ProgressReporter(total, label=label,
                                 stream=self.progress_stream,
                                 interval=self.progress_interval,
-                                status_writer=status_writer,
-                                console=self.progress_stream
-                                is not None,
                                 on_beat=(self.mem.sample
                                          if self.mem is not None
                                          else None))

@@ -9,14 +9,11 @@ where the time went (:mod:`~repro.obs.insight.profiling`).
 """
 
 from repro.obs.insight.analytics import (
-    ANALYTICS_SCHEMA,
     ProofShapeAnalytics,
-    analytics_document,
     analytics_footer,
     analyze_proof_shape,
     estimated_resolutions,
     is_local,
-    write_analytics_json,
 )
 from repro.obs.insight.depgraph import (
     DEPGRAPH_SCHEMA,
@@ -41,13 +38,11 @@ from repro.obs.insight.history import (
 from repro.obs.insight.profiling import profile_session, write_profile
 
 __all__ = [
-    "ANALYTICS_SCHEMA",
     "DEPGRAPH_SCHEMA",
     "RUN_SCHEMA",
     "DepGraphRecorder",
     "HistoryStore",
     "ProofShapeAnalytics",
-    "analytics_document",
     "analytics_footer",
     "analyze_proof_shape",
     "check_regression",
@@ -63,7 +58,6 @@ __all__ = [
     "load_fingerprint",
     "profile_session",
     "read_depgraph_jsonl",
-    "write_analytics_json",
     "write_depgraph_dot",
     "write_depgraph_jsonl",
     "write_profile",

@@ -13,9 +13,13 @@ skips).
 On top of the store sit three CLI verbs (``repro obs history``,
 ``repro obs compare A B``, ``repro obs check-regression``) backed by
 the pure functions here: :func:`compare_runs` produces a per-metric
-delta table and :func:`check_regression` evaluates configurable
-thresholds, exiting the CLI with code 3 (the resource/limit exit code
-family) when a run regressed past them.
+delta table and :func:`check_regression` gates on the run's exact
+work counters.  A sequential verification of the same (F, F*) pair
+with the same procedure, mode and engine always does the same checks
+and propagations, so the gate compares ``outcome``, ``checks`` and
+``props`` for equality — a difference exits the CLI with code 3 (the
+resource/limit exit code family).  Wall time, rates, phases, memory
+and attribution only ever print as a trend table.
 
 Fingerprint schema (``repro.obs.run/v1``)::
 
@@ -55,8 +59,8 @@ def default_history_dir() -> str:
     """
     return os.environ.get("REPRO_HISTORY_DIR") or DEFAULT_HISTORY_DIR
 
-# Metrics compared/thresholded, with their direction: +1 means larger
-# is worse (times), -1 means smaller is worse (throughput).
+# Metrics compared, with their direction: +1 means larger is worse
+# (times), -1 means smaller is worse (throughput).
 _COMPARED = (
     ("wall_time", +1),
     ("checks", 0),
@@ -327,90 +331,41 @@ def format_compare_table(a: dict, b: dict,
     return "\n".join(lines)
 
 
-def check_regression(baseline: dict, current: dict, *,
-                     max_wall_pct: float | None = None,
-                     max_props_drop_pct: float | None = None,
-                     max_phase_pct: float | None = None,
-                     min_utilization_pct: float | None = None,
-                     max_peak_rss_growth_pct: float | None = None,
-                     ) -> list[str]:
-    """Threshold violations of ``current`` against ``baseline``.
+#: Fields two runs must agree on for their work counters to be
+#: comparable.
+CONFIG_FIELDS = ("command", "procedure", "mode", "engine", "jobs")
 
-    Each threshold is optional (``None`` skips that check):
+#: Deterministic results of a sequential run, gated for equality.
+EXACT_FIELDS = ("outcome", "checks", "props")
 
-    * ``max_wall_pct`` — wall time may grow at most this % over the
-      baseline;
-    * ``max_props_drop_pct`` — props/s throughput may drop at most
-      this %;
-    * ``max_phase_pct`` — every individual phase time may grow at most
-      this %;
-    * ``min_utilization_pct`` — an absolute floor on the current run's
-      recorded worker utilization (parallel runs with an attribution
-      section only; a run without one skips the check — utilization
-      is undefined for sequential runs);
-    * ``max_peak_rss_growth_pct`` — measured peak RSS may grow at most
-      this % over the baseline (runs whose fingerprints carry a
-      ``memory`` section only; either side missing skips the check —
-      an unmeasured run cannot be gated).
 
-    Returns human-readable violation lines (empty: no regression).
-    A current run with a worse outcome than the baseline is always a
-    violation — a slower-but-correct run is a regression, a wrong one
-    is a failure.
+def check_regression(baseline: dict, current: dict) -> list[str]:
+    """Exact-counter regressions of ``current`` against ``baseline``.
+
+    Returns one line per field of :data:`EXACT_FIELDS` that differs
+    (empty: no regression).  Raises ``ValueError`` when the two runs
+    cannot be gated: a side lacks an exact field, they disagree on a
+    :data:`CONFIG_FIELDS` entry, or the run is pooled (``jobs > 1``),
+    whose props depend on which worker was handed which shard.
     """
-    violations: list[str] = []
-    if baseline.get("outcome") != current.get("outcome"):
-        violations.append(
-            f"outcome changed: {baseline.get('outcome')} -> "
-            f"{current.get('outcome')}")
-    if max_wall_pct is not None:
-        pct = _delta_pct(baseline.get("wall_time"),
-                         current.get("wall_time"))
-        if pct is not None and pct > max_wall_pct:
-            violations.append(
-                f"wall_time regressed {pct:+.1f}% "
-                f"({baseline['wall_time']:.6g}s -> "
-                f"{current['wall_time']:.6g}s; threshold "
-                f"+{max_wall_pct:g}%)")
-    if max_props_drop_pct is not None:
-        pct = _delta_pct(baseline.get("props_per_sec"),
-                         current.get("props_per_sec"))
-        if pct is not None and -pct > max_props_drop_pct:
-            violations.append(
-                f"props_per_sec dropped {pct:+.1f}% "
-                f"({baseline['props_per_sec']:.6g} -> "
-                f"{current['props_per_sec']:.6g}; threshold "
-                f"-{max_props_drop_pct:g}%)")
-    if max_phase_pct is not None:
-        base_phases = baseline.get("phase_times", {})
-        for phase, seconds in sorted(
-                current.get("phase_times", {}).items()):
-            pct = _delta_pct(base_phases.get(phase), seconds)
-            if pct is not None and pct > max_phase_pct:
-                violations.append(
-                    f"phase {phase} regressed {pct:+.1f}% "
-                    f"({base_phases[phase]:.6g}s -> {seconds:.6g}s; "
-                    f"threshold +{max_phase_pct:g}%)")
-    if min_utilization_pct is not None:
-        attribution = current.get("attribution") or {}
-        utilization = attribution.get("utilization")
-        if isinstance(utilization, (int, float)) \
-                and utilization * 100.0 < min_utilization_pct:
-            violations.append(
-                f"worker utilization {utilization * 100:.1f}% below "
-                f"floor {min_utilization_pct:g}%")
-    if max_peak_rss_growth_pct is not None:
-        mem_base = baseline.get("memory") or {}
-        mem_cur = current.get("memory") or {}
-        pct = _delta_pct(mem_base.get("peak_rss_bytes"),
-                         mem_cur.get("peak_rss_bytes"))
-        if pct is not None and pct > max_peak_rss_growth_pct:
-            violations.append(
-                f"peak RSS regressed {pct:+.1f}% "
-                f"({mem_base['peak_rss_bytes']} -> "
-                f"{mem_cur['peak_rss_bytes']} bytes; threshold "
-                f"+{max_peak_rss_growth_pct:g}%)")
-    return violations
+    for side, record in (("baseline", baseline), ("current", current)):
+        missing = [field for field in EXACT_FIELDS
+                   if record.get(field) is None]
+        if missing:
+            raise ValueError(f"{side} {record.get('id')} has no "
+                             f"{', '.join(missing)} to gate on")
+    for field in CONFIG_FIELDS:
+        if baseline.get(field) != current.get(field):
+            raise ValueError(
+                f"runs are not comparable: {field} "
+                f"{baseline.get(field)!r} vs {current.get(field)!r}")
+    if (current.get("jobs") or 1) > 1:
+        raise ValueError(
+            f"a pooled run (jobs {current['jobs']}) cannot be gated "
+            "exactly: its props depend on shard assignment")
+    return [f"{field} {baseline[field]} -> {current[field]}"
+            for field in EXACT_FIELDS
+            if baseline[field] != current[field]]
 
 
 def format_history(records: list[dict], limit: int = 20) -> str:

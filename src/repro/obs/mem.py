@@ -10,10 +10,11 @@ memory-bound long before they are CPU-bound).  Three layers:
   ``resource.getrusage`` fallback on platforms without procfs.  One
   read is a single small file open — cheap enough to ride the progress
   heartbeat.
-* :class:`MemSampler` — accumulates samples into a bounded buffer,
+* :class:`MemSampler` — counts samples, tracks the peak,
   publishes ``repro_mem_*`` gauges, and stamps each sample as a
   ``mem_sample`` trace event (so samples carry the cross-process trace
-  context and land on the ``repro obs timeline`` memory lane).  An
+  context and land on the ``repro obs timeline`` memory lane); each
+  progress heartbeat line ends with its reading.  An
   optional background thread samples at a fixed period for runs whose
   heartbeat is too coarse.  **A sampler failure can never affect a
   verdict**: every read is guarded, and after a few consecutive
@@ -36,11 +37,6 @@ import time
 
 PROC_STATUS_PATH = "/proc/self/status"
 CLEAR_REFS_PATH = "/proc/self/clear_refs"
-
-#: Sample-buffer cap: past this the buffer is thinned by dropping
-#: every other sample, so an arbitrarily long run keeps a bounded,
-#: roughly uniform sample of its memory trajectory.
-MAX_SAMPLES = 4096
 
 #: Consecutive read failures after which the sampler declares itself
 #: dead (stops trying, stops beating) instead of retrying forever.
@@ -126,7 +122,7 @@ class MemSampler:
     tests).  :meth:`sample` never raises: failures are counted and
     past :data:`MAX_CONSECUTIVE_FAILURES` the sampler marks itself
     ``dead`` — the run's verdict and exit code are unaffected, and
-    ``repro obs top`` surfaces the silence as staleness.
+    the heartbeat lines simply lose their ``rss`` field.
     """
 
     def __init__(self, metrics=None, tracer=None, reader=read_rss,
@@ -135,12 +131,11 @@ class MemSampler:
         self.tracer = tracer
         self._reader = reader
         self._wall = wall
-        self.samples: list[dict] = []
+        self.samples = 0
         self.source: str | None = None
         self.failures = 0
         self._consecutive_failures = 0
         self.dead = False
-        self.last_beat: float | None = None
         self._peak = 0
         self._last_rss = 0
         self._thread: threading.Thread | None = None
@@ -176,13 +171,10 @@ class MemSampler:
         entry = {"ts": now, "rss_bytes": rss, "peak_rss_bytes": peak}
         with self._lock:
             self.source = source
-            self.last_beat = now
             self._last_rss = rss
             if peak > self._peak:
                 self._peak = peak
-            self.samples.append(entry)
-            if len(self.samples) > MAX_SAMPLES:
-                self.samples = self.samples[::2]
+            self.samples += 1
         try:
             if self.metrics is not None:
                 self.metrics.gauge(
@@ -240,21 +232,26 @@ class MemSampler:
     def rss_bytes(self) -> int | None:
         return self._last_rss or None
 
-    def live_view(self) -> dict | None:
-        """The compact per-beat record the live status file embeds."""
-        if self.last_beat is None:
-            return None
-        return {"rss_bytes": self._last_rss,
-                "peak_rss_bytes": self._peak,
-                "updated": self.last_beat}
-
     def summary(self) -> dict:
         return {"peak_rss_bytes": self.peak_rss_bytes,
                 "rss_bytes": self.rss_bytes,
-                "num_samples": len(self.samples),
+                "num_samples": self.samples,
                 "source": self.source,
                 "sampler_failures": self.failures,
                 "sampler_dead": self.dead}
+
+
+def format_bytes(value) -> str:
+    """``62.1M``-style human bytes (``-`` when unknown) — shared by
+    the progress heartbeat and the timeline memory lane."""
+    if not isinstance(value, (int, float)) or value <= 0:
+        return "-"
+    for unit in ("B", "K", "M", "G", "T"):
+        if value < 1024 or unit == "T":
+            return (f"{value:.0f}{unit}" if unit == "B"
+                    else f"{value:.1f}{unit}")
+        value /= 1024
+    return "-"
 
 
 # -- arena-native gauges ---------------------------------------------------

@@ -1,6 +1,6 @@
 """Artifact schemas for the observability layer, plus validators.
 
-Seven artifact schemas are defined here:
+Five artifact schemas are defined here:
 
 * a **metrics document** (``repro.obs.metrics/v1``) — one JSON object
   holding the run header, the registry snapshot, and the report's
@@ -10,9 +10,6 @@ Seven artifact schemas are defined here:
 * a **dependency graph** (``repro.obs.depgraph/v1``) — JSONL, one
   antecedent record per checked proof clause (see
   :mod:`repro.obs.insight.depgraph`);
-* an **analytics document** (``repro.obs.analytics/v1``) — one JSON
-  object with the proof-shape quantities of the paper's Section 5
-  (see :mod:`repro.obs.insight.analytics`);
 * a **checkpoint / resume token** (``repro.obs.checkpoint/v1``) — one
   JSON object recording a streaming verification's trace position,
   live clause window, and budget spend (see
@@ -21,10 +18,7 @@ Seven artifact schemas are defined here:
 * a **timeline document** (``repro.obs.timeline/v1``) — one JSON
   object reconstructed from a trace log by ``repro obs timeline``:
   lanes, utilization, shard skew, critical path, attribution (see
-  :mod:`repro.obs.timeline`);
-* a **live status file** (``repro.obs.live/v1``) — one JSON object
-  per in-flight run, atomically replaced on every progress beat and
-  read by ``repro obs top`` (see :mod:`repro.obs.live`).
+  :mod:`repro.obs.timeline`).
 
 :data:`KNOWN_SCHEMAS` maps each schema id to its validator;
 :func:`validate_any` dispatches on a document's declared schema and
@@ -56,10 +50,8 @@ from __future__ import annotations
 METRICS_SCHEMA = "repro.obs.metrics/v1"
 TRACE_SCHEMA = "repro.obs.trace/v1"
 DEPGRAPH_SCHEMA = "repro.obs.depgraph/v1"
-ANALYTICS_SCHEMA = "repro.obs.analytics/v1"
 CHECKPOINT_SCHEMA = "repro.obs.checkpoint/v1"
 TIMELINE_SCHEMA = "repro.obs.timeline/v1"
-LIVE_SCHEMA = "repro.obs.live/v1"
 
 _EVENT_TYPES = ("header", "begin", "end", "event")
 
@@ -311,59 +303,6 @@ def validate_depgraph(lines) -> list[str]:
     return problems
 
 
-_ANALYTICS_INT_FIELDS = (
-    "num_proof_clauses", "proof_literals", "checked", "skipped",
-    "local_clauses", "global_clauses", "estimated_resolution_nodes",
-    "max_antecedents", "max_chain_depth",
-)
-
-
-def validate_analytics(doc) -> list[str]:
-    """Structural problems of an analytics document (empty: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"analytics document must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != ANALYTICS_SCHEMA:
-        problems.append(f"schema must be {ANALYTICS_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("run"), dict):
-        problems.append("missing 'run' header object")
-    shape = doc.get("analytics")
-    if not isinstance(shape, dict):
-        problems.append("missing 'analytics' object")
-        return problems
-    for key in _ANALYTICS_INT_FIELDS:
-        value = shape.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"analytics.{key} must be a non-negative "
-                            f"int, got {value!r}")
-    fraction = shape.get("marked_fraction")
-    if not isinstance(fraction, (int, float)) \
-            or not 0.0 <= fraction <= 1.0:
-        problems.append("analytics.marked_fraction must be a number "
-                        f"in [0, 1], got {fraction!r}")
-    if isinstance(shape.get("local_clauses"), int) \
-            and isinstance(shape.get("global_clauses"), int) \
-            and isinstance(shape.get("checked"), int) \
-            and shape["local_clauses"] + shape["global_clauses"] \
-            != shape["checked"]:
-        problems.append("local_clauses + global_clauses must equal "
-                        "checked")
-    depths = shape.get("antecedent_chain_depths")
-    if not isinstance(depths, dict) \
-            or not all(isinstance(count, int) and count >= 0
-                       and key.isdigit()
-                       for key, count in depths.items()):
-        problems.append("analytics.antecedent_chain_depths must map "
-                        "digit strings to non-negative ints")
-    for key in ("core_size", "core_fraction"):
-        value = shape.get(key)
-        if value is not None and not isinstance(value, (int, float)):
-            problems.append(f"analytics.{key} must be null or a number")
-    return problems
-
-
 def validate_checkpoint(doc) -> list[str]:
     """Structural problems of a streaming resume token (empty: valid)."""
     problems: list[str] = []
@@ -523,60 +462,14 @@ def validate_timeline(doc) -> list[str]:
     return problems
 
 
-def validate_live(doc) -> list[str]:
-    """Structural problems of a live status file (empty: valid)."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"live status must be a JSON object, "
-                f"got {type(doc).__name__}"]
-    if doc.get("schema") != LIVE_SCHEMA:
-        problems.append(f"schema must be {LIVE_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("run"), str) or not doc.get("run"):
-        problems.append("run must be a non-empty string")
-    if doc.get("state") not in ("running", "done"):
-        problems.append(f"state must be 'running' or 'done', "
-                        f"got {doc.get('state')!r}")
-    for key in ("done", "total", "pid"):
-        value = doc.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"{key} must be a non-negative int, "
-                            f"got {value!r}")
-    for key in ("elapsed", "updated"):
-        if not isinstance(doc.get(key), (int, float)):
-            problems.append(f"{key} must be a number")
-    for key in ("eta", "rate"):
-        value = doc.get(key)
-        if value is not None and not isinstance(value, (int, float)):
-            problems.append(f"{key} must be null or a number")
-    if not isinstance(doc.get("meta"), dict):
-        problems.append("meta must be an object")
-    mem = doc.get("mem")
-    if mem is not None:
-        if not isinstance(mem, dict):
-            problems.append("mem, when present, must be null or an "
-                            "object")
-        else:
-            for key in ("rss_bytes", "peak_rss_bytes"):
-                value = mem.get(key)
-                if not isinstance(value, int) or value < 0:
-                    problems.append(f"mem.{key} must be a non-negative "
-                                    f"int, got {value!r}")
-            if not isinstance(mem.get("updated"), (int, float)):
-                problems.append("mem.updated must be a number")
-    return problems
-
-
 # Schema id -> (artifact kind, validator).  JSONL kinds take the parsed
 # line list; JSON kinds take the single document object.
 KNOWN_SCHEMAS = {
     METRICS_SCHEMA: ("json", validate_metrics),
     TRACE_SCHEMA: ("jsonl", validate_trace),
     DEPGRAPH_SCHEMA: ("jsonl", validate_depgraph),
-    ANALYTICS_SCHEMA: ("json", validate_analytics),
     CHECKPOINT_SCHEMA: ("json", validate_checkpoint),
     TIMELINE_SCHEMA: ("json", validate_timeline),
-    LIVE_SCHEMA: ("json", validate_live),
 }
 
 

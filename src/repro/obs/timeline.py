@@ -43,7 +43,7 @@ import html as _html
 import json
 
 from repro.obs.export import atomic_write_text
-from repro.obs.live import format_bytes
+from repro.obs.mem import format_bytes
 
 TIMELINE_SCHEMA = "repro.obs.timeline/v1"
 

@@ -85,25 +85,31 @@ class TestObservabilityDoc:
     def test_schemas_and_flags_documented(self):
         doc = (REPO / "docs" / "observability.md").read_text()
         for term in ("repro.obs.metrics/v1", "repro.obs.trace/v1",
-                     "repro.obs.timeline/v1", "repro.obs.live/v1",
+                     "repro.obs.timeline/v1", "repro.obs.checkpoint/v1",
+                     "repro.obs.run/v1",
                      "--metrics-out", "--trace-out", "--progress",
                      "--stats", "deterministic_view",
-                     "repro obs timeline", "repro obs top",
-                     "--live-dir", "--min-utilization",
+                     "repro obs timeline", "repro obs check-regression",
+                     "--mem-sample-period", ", rss ",
                      "rebase_epoch", "critical path",
                      "python -m repro.obs.validate"):
             assert term in doc, term
-        # The artifact inventory has one row per schema id.
-        from repro.obs import KNOWN_SCHEMAS, RUN_SCHEMA
+        # The artifact inventory has one row per validated schema id.
+        from repro.obs import KNOWN_SCHEMAS
 
         rows = {line.split("|")[1].strip().strip("`")
                 for line in doc.splitlines()
                 if line.startswith("| `repro.obs.")}
-        assert rows == set(KNOWN_SCHEMAS) | {RUN_SCHEMA}
+        assert rows == set(KNOWN_SCHEMAS)
         # Deleted surfaces stay out of every doc.  The names are built
         # from pieces so a repo-wide grep for them still finds nothing.
         gone = ("--mem-" + "out", "--mem-" + "profile",
-                "repro.obs.mem" + "/v1")
+                "repro.obs.mem" + "/v1", "repro.obs.live" + "/v1",
+                "repro.obs.analytics" + "/v1", "--live" + "-dir",
+                "obs " + "top", "--analytics" + "-out",
+                "--min-" + "utilization", "--max-wall" + "-pct",
+                "--max-props" + "-drop-pct", "--max-phase" + "-pct",
+                "--max-peak" + "-rss-growth")
         for path in [REPO / "README.md", *(REPO / "docs").glob("*.md")]:
             text = path.read_text()
             for name in gone:
@@ -137,12 +143,12 @@ class TestObservabilityDoc:
 class TestProofInsightDoc:
     def test_schemas_flags_and_formats_documented(self):
         doc = (REPO / "docs" / "proof_insight.md").read_text()
-        for term in ("repro.obs.depgraph/v1", "repro.obs.analytics/v1",
+        for term in ("repro.obs.depgraph/v1", "c insight:",
                      "repro.obs.run/v1", "--depgraph-out",
-                     "--depgraph-dot", "--analytics-out", "--profile",
+                     "--depgraph-dot", "--profile",
                      "history.jsonl", "$REPRO_HISTORY_DIR",
                      "repro obs history", "repro obs compare",
-                     "check-regression", "--max-props-drop-pct"):
+                     "check-regression", "c regression:", "c error:"):
             assert term in doc, term
 
     def test_cross_linked(self):
@@ -160,12 +166,12 @@ class TestProofInsightDoc:
     def test_ci_baseline_is_a_valid_fingerprint(self):
         from repro.obs.insight import check_regression, load_fingerprint
 
-        baseline = load_fingerprint(REPO / "ci"
-                                    / "baseline_fingerprint.json")
-        # A fingerprint never regresses against itself.
-        assert check_regression(baseline, baseline, max_wall_pct=0,
-                                max_props_drop_pct=0,
-                                max_phase_pct=0) == []
+        for name in ("baseline_fingerprint.json",
+                     "baseline_php6_arena.json",
+                     "streaming_baseline.json"):
+            baseline = load_fingerprint(REPO / "ci" / name)
+            # A sequential fingerprint never regresses against itself.
+            assert check_regression(baseline, baseline) == [], name
 
 
 class TestExamples:

@@ -1,7 +1,7 @@
 """CLI tests for the proof-insight layer.
 
 Covers the insight artifact flags (``--depgraph-out``,
-``--depgraph-dot``, ``--analytics-out``), the profiling hooks
+``--depgraph-dot``) and ``c insight:`` footer, the profiling hooks
 (``--profile``), the run-history verbs (``repro obs history / compare /
 check-regression``) with their exit-code contract, the interrupt-safe
 artifact flush (a ^C mid-verification leaves complete, schema-valid
@@ -16,7 +16,7 @@ import pytest
 from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, EXIT_RESOURCE_LIMIT, main
 from repro.core.dimacs import write_dimacs
 from repro.core.formula import CnfFormula
-from repro.obs import validate_analytics, validate_depgraph
+from repro.obs import validate_depgraph
 from repro.obs.insight.depgraph import read_depgraph_jsonl
 from repro.obs.insight.history import RUN_SCHEMA, HistoryStore
 from repro.obs.validate import main as validate_main
@@ -42,31 +42,29 @@ class TestInsightArtifacts:
                                     tmp_path, capsys):
         dep = tmp_path / "dep.jsonl"
         dot = tmp_path / "dep.dot"
-        shape = tmp_path / "shape.json"
+        history = tmp_path / "hist"
         code = main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
                      "--depgraph-dot", str(dot),
-                     "--analytics-out", str(shape),
-                     "--no-history"])
+                     "--history-dir", str(history)])
         assert code == 0
         out = capsys.readouterr().out
         assert "c depgraph written to" in out
-        assert "c analytics written to" in out
 
         lines = read_depgraph_jsonl(dep)
         assert validate_depgraph(lines) == []
         assert lines[0]["meta"]["num_input"] == 5
         assert dot.read_text().startswith("digraph depgraph {")
 
-        doc = json.loads(shape.read_text())
-        assert validate_analytics(doc) == []
-        assert doc["analytics"]["checked"] >= 1
+        # The analytics land in the history fingerprint.
+        (record,) = HistoryStore(str(history)).read()
+        assert record["analytics"]["local_clauses"] >= 1
 
     def test_stats_footer_gains_insight_lines(self, unsat_cnf,
                                               good_proof, tmp_path,
                                               capsys):
         code = main(["verify", str(unsat_cnf), str(good_proof),
-                     "--analytics-out", str(tmp_path / "a.json"),
+                     "--depgraph-out", str(tmp_path / "dep.jsonl"),
                      "--stats", "--no-history"])
         assert code == 0
         out = capsys.readouterr().out
@@ -89,17 +87,17 @@ class TestInsightArtifacts:
     def test_validate_dispatcher(self, unsat_cnf, good_proof, tmp_path,
                                  capsys):
         dep = tmp_path / "dep.jsonl"
-        shape = tmp_path / "shape.json"
+        metrics = tmp_path / "metrics.json"
         assert main(["verify", str(unsat_cnf), str(good_proof),
                      "--depgraph-out", str(dep),
-                     "--analytics-out", str(shape),
+                     "--metrics-out", str(metrics),
                      "--no-history"]) == 0
         capsys.readouterr()
-        assert validate_main([str(dep), str(shape)]) == 0
+        assert validate_main([str(dep), str(metrics)]) == 0
         out = capsys.readouterr().out.splitlines()
         # Each ok line names the schema the artifact was checked against.
         assert out[0].startswith(f"ok: {dep} [repro.obs.depgraph/v1, ")
-        assert out[1] == f"ok: {shape} [repro.obs.analytics/v1]"
+        assert out[1].startswith(f"ok: {metrics} [repro.obs.metrics/v1, ")
 
     def test_validate_rejects_unknown_schema(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
@@ -214,46 +212,57 @@ class TestHistoryVerbs:
             assert metric in out
         assert "delta%" in out
 
-    def test_check_regression_identical_runs_exit_0(
-            self, unsat_cnf, good_proof, tmp_path, capsys):
-        history = tmp_path / "hist"
-        self.run_verify(unsat_cnf, good_proof, history)
-        records = HistoryStore(str(history)).read()
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(records[-1]))
-        capsys.readouterr()
-        code = main(["obs", "check-regression",
-                     "--baseline", str(baseline), "--current", "-1",
-                     "--history-dir", str(history),
-                     "--max-wall-pct", "0",
-                     "--max-props-drop-pct", "0",
-                     "--max-phase-pct", "0"])
-        assert code == 0
-        assert "c no regression past thresholds" \
-            in capsys.readouterr().out
-
-    def test_check_regression_seeded_slowdown_exits_3(
-            self, unsat_cnf, good_proof, tmp_path, capsys):
+    def _gate(self, unsat_cnf, good_proof, tmp_path, edit):
+        """Record one run, write ``edit(record)`` as the baseline, and
+        gate the run against it."""
         history = tmp_path / "hist"
         self.run_verify(unsat_cnf, good_proof, history)
         record = HistoryStore(str(history)).read()[-1]
-        # Seed a baseline that was twice as fast as the real run.
-        seeded = dict(record)
-        seeded["id"] = "baseline-seeded"
-        seeded["wall_time"] = record["wall_time"] / 2 or 0.001
-        seeded["props_per_sec"] = (record["props_per_sec"] or 1.0) * 2
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(seeded))
-        capsys.readouterr()
-        code = main(["obs", "check-regression",
+        baseline.write_text(json.dumps(edit(record)))
+        return main(["obs", "check-regression",
                      "--baseline", str(baseline), "--current", "-1",
-                     "--history-dir", str(history),
-                     "--max-wall-pct", "25",
-                     "--max-props-drop-pct", "25"])
-        assert code == EXIT_RESOURCE_LIMIT
+                     "--history-dir", str(history)])
+
+    def test_check_regression_identical_runs_exit_0(
+            self, unsat_cnf, good_proof, tmp_path, capsys):
+        # Wall time is trend-only: a baseline ten times faster passes.
+        assert self._gate(unsat_cnf, good_proof, tmp_path,
+                          lambda r: dict(r, wall_time=1e-6)) == 0
         out = capsys.readouterr().out
-        assert "c regression:" in out
-        assert "props_per_sec dropped" in out
+        assert "wall_time" in out and "delta%" in out
+        assert "c no regression: outcome, checks and props are exact" \
+            in out
+
+    def test_check_regression_props_plus_one_exits_3(
+            self, unsat_cnf, good_proof, tmp_path, capsys):
+        code = self._gate(unsat_cnf, good_proof, tmp_path,
+                          lambda r: dict(r, props=r["props"] + 1))
+        assert code == EXIT_RESOURCE_LIMIT
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("c regression:")]
+        old, new = line.removeprefix("c regression: props ").split(" -> ")
+        assert int(old) == int(new) + 1
+
+    def test_check_regression_fieldless_baseline_exits_2(
+            self, unsat_cnf, good_proof, tmp_path, capsys):
+        """A baseline without counters cannot pass the gate."""
+        code = self._gate(unsat_cnf, good_proof, tmp_path,
+                          lambda r: {"schema": RUN_SCHEMA, "id": "x",
+                                     "outcome": "proof_is_correct"})
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "c error: baseline x has no checks, props" in err
+
+    @pytest.mark.parametrize("changes", [{"engine": "arena"},
+                                         {"jobs": 4}],
+                             ids=["engine", "jobs"])
+    def test_check_regression_incomparable_exits_2(
+            self, unsat_cnf, good_proof, tmp_path, capsys, changes):
+        assert self._gate(unsat_cnf, good_proof, tmp_path,
+                          lambda r: dict(r, **changes)) == EXIT_ERROR
+        assert "c error: runs are not comparable" \
+            in capsys.readouterr().err
 
     def test_missing_selector_exits_2(self, tmp_path, capsys):
         code = main(["obs", "compare", "-2", "-1",
@@ -334,8 +343,8 @@ class TestInterruptFlush:
 
 
 class TestTimelineCli:
-    """The ``repro obs timeline`` / ``obs top`` / ``history prune``
-    operational verbs, end to end through the CLI."""
+    """The ``repro obs timeline`` / ``history prune`` operational
+    verbs, end to end through the CLI."""
 
     def _trace(self, unsat_cnf, good_proof, tmp_path, jobs=None):
         trace = tmp_path / "trace.jsonl"
@@ -385,27 +394,6 @@ class TestTimelineCli:
         assert code == EXIT_ERROR
         assert "c error:" in capsys.readouterr().err
 
-    def test_live_dir_and_top(self, unsat_cnf, good_proof, tmp_path,
-                              capsys):
-        live = tmp_path / "live"
-        assert main(["verify", str(unsat_cnf), str(good_proof),
-                     "--live-dir", str(live), "--no-history"]) == 0
-        files = list(live.glob("*.json"))
-        assert len(files) == 1
-        doc = json.loads(files[0].read_text())
-        assert doc["schema"] == "repro.obs.live/v1"
-        assert doc["state"] == "done"
-        assert doc["meta"]["command"] == "verify"
-        capsys.readouterr()
-        assert main(["obs", "top", "--live-dir", str(live)]) == 0
-        out = capsys.readouterr().out
-        assert "RUN" in out and "done" in out
-
-    def test_top_empty_dir(self, tmp_path, capsys):
-        assert main(["obs", "top",
-                     "--live-dir", str(tmp_path / "none")]) == 0
-        assert "no live runs" in capsys.readouterr().out
-
     def test_history_prune(self, unsat_cnf, good_proof, tmp_path,
                            capsys):
         history = tmp_path / "hist"
@@ -435,8 +423,8 @@ class TestTimelineCli:
         assert 0.0 <= attribution["utilization"] <= 1.0
         assert attribution["shards"]
 
-    def test_min_utilization_gate_exits_3(self, unsat_cnf, good_proof,
-                                          tmp_path, capsys):
+    def test_pooled_run_gate_exits_2(self, unsat_cnf, good_proof,
+                                     tmp_path, capsys):
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -448,7 +436,8 @@ class TestTimelineCli:
         capsys.readouterr()
         code = main(["obs", "check-regression",
                      "--history-dir", str(history),
-                     "--baseline", "-1", "--current", "-1",
-                     "--min-utilization", "100"])
-        assert code == EXIT_RESOURCE_LIMIT
-        assert "utilization" in capsys.readouterr().out
+                     "--baseline", "-1", "--current", "-1"])
+        # Pooled props depend on shard assignment: no exact gate.
+        assert code == EXIT_ERROR
+        assert "c error: a pooled run (jobs 2)" \
+            in capsys.readouterr().err

@@ -3,14 +3,15 @@
 Covers procfs parsing and the getrusage fallback, gauge max-merge
 associativity (the algebra the cross-worker peak-RSS aggregation
 relies on), sampler fault injection (a dying sampler must never touch
-the verdict), live-view staleness, the timeline memory section, the
-peak-RSS regression gate, and one end-to-end CLI run asserting that
-memory data reaches every artifact that carries it: the trace, the
-timeline, the metrics document, the history fingerprint, and the live
-view.
+the verdict), the timeline memory section, peak RSS as trend-only
+output of the regression gate, and one end-to-end CLI run asserting
+that memory data reaches every place that carries it: the trace, the
+timeline, the metrics document, the history fingerprint, and the
+progress heartbeat.
 """
 
 import json
+import re
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.obs import (
     Tracer,
     build_timeline,
     check_regression,
-    format_top_table,
+    compare_runs,
+    format_bytes,
     parse_proc_status,
     read_rss,
     render_timeline_text,
@@ -29,7 +31,6 @@ from repro.obs import (
 )
 from repro.obs.mem import (
     MAX_CONSECUTIVE_FAILURES,
-    MAX_SAMPLES,
     arena_mem_stats,
 )
 
@@ -187,17 +188,15 @@ class TestMemSampler:
             sampler.sample()
         assert not sampler.dead
 
-    def test_buffer_thinning_is_bounded(self):
-        clock = FakeClock()
-        sampler = MemSampler(reader=make_reader(), wall=clock)
-        for i in range(MAX_SAMPLES + 1):
-            clock.now = float(i)
+    def test_sample_counter_counts_every_reading(self):
+        """The sampler keeps a count, not a buffer: memory stays
+        constant however long the run, and failed reads don't count."""
+        readings = iter([(10, 20, "fake")] * 5000 + [None])
+        sampler = MemSampler(reader=lambda: next(readings))
+        for _ in range(5001):
             sampler.sample()
-        assert len(sampler.samples) <= MAX_SAMPLES
-        # Thinning keeps a roughly uniform trajectory, oldest first.
-        ts = [s["ts"] for s in sampler.samples]
-        assert ts == sorted(ts)
-        assert sampler.summary()["num_samples"] == len(sampler.samples)
+        assert sampler.samples == 5000
+        assert sampler.summary()["num_samples"] == 5000
 
     def test_dead_sampler_never_affects_verdict(self):
         """Fault injection: an instrumented run whose sampler dies
@@ -228,6 +227,13 @@ class TestMemSampler:
         assert summary["peak_rss_bytes"] is None
 
 
+@pytest.mark.parametrize("value,text", [
+    (None, "-"), (0, "-"), (512, "512B"), (1536, "1.5K"),
+    (27 * 1024 * 1024, "27.0M"), (3 * 1024 ** 5, "3072.0T")])
+def test_format_bytes(value, text):
+    assert format_bytes(value) == text
+
+
 # -- arena gauges ----------------------------------------------------------
 
 class TestArenaStats:
@@ -254,37 +260,6 @@ class TestArenaStats:
         from repro.bcp.watched import WatchedPropagator
 
         assert arena_mem_stats(WatchedPropagator(2)) is None
-
-
-# -- live view -------------------------------------------------------------
-
-class TestLiveMemStaleness:
-    def _doc(self, mem, updated=1000.0):
-        return {"run": "r1", "pid": 1, "state": "running",
-                "updated": updated, "done": 1, "total": 2,
-                "mem": mem}
-
-    def test_fresh_mem_stays_running(self):
-        table = format_top_table(
-            [self._doc({"rss_bytes": 10, "peak_rss_bytes": 20,
-                        "updated": 999.0})],
-            now=1000.0, stale_after=10.0)
-        assert "running" in table
-        assert "stale" not in table
-
-    def test_silent_sampler_marks_stale(self):
-        """Progress still beats (updated is fresh) but the memory
-        sampler went quiet long ago: the run shows as stale."""
-        table = format_top_table(
-            [self._doc({"rss_bytes": 10, "peak_rss_bytes": 20,
-                        "updated": 900.0})],
-            now=1000.0, stale_after=10.0)
-        assert "stale" in table
-
-    def test_no_mem_section_is_not_stale(self):
-        table = format_top_table([self._doc(None)],
-                                 now=1000.0, stale_after=10.0)
-        assert "running" in table
 
 
 # -- timeline memory lane --------------------------------------------------
@@ -349,25 +324,24 @@ class TestTimelineMemory:
 # -- the regression gate ---------------------------------------------------
 
 class TestPeakRssGate:
+    """Peak RSS is trend-only: it is compared, never gated."""
+
     def _fingerprint(self, peak):
-        record = {"outcome": "correct", "wall_time": 1.0}
+        record = {"outcome": "correct", "command": "verify",
+                  "jobs": 1, "checks": 10, "props": 100,
+                  "wall_time": 1.0}
         if peak is not None:
             record["memory"] = {"peak_rss_bytes": peak}
         return record
 
-    def test_growth_over_threshold_violates(self):
-        violations = check_regression(
-            self._fingerprint(100_000_000),
-            self._fingerprint(140_000_000),
-            max_peak_rss_growth_pct=25.0)
-        assert len(violations) == 1
-        assert "peak RSS regressed" in violations[0]
-
-    def test_growth_under_threshold_passes(self):
-        assert check_regression(
-            self._fingerprint(100_000_000),
-            self._fingerprint(110_000_000),
-            max_peak_rss_growth_pct=25.0) == []
+    def test_growth_is_a_worse_trend_row(self):
+        base = self._fingerprint(100_000_000)
+        grown = self._fingerprint(140_000_000)
+        rows = {row["metric"]: row for row in compare_runs(base, grown)}
+        row = rows["memory:peak_rss_bytes"]
+        assert row["delta_pct"] == pytest.approx(40.0)
+        assert row["worse"] is True
+        assert check_regression(base, grown) == []
 
     @pytest.mark.parametrize("baseline_peak,current_peak",
                              [(None, 140_000_000),
@@ -375,12 +349,10 @@ class TestPeakRssGate:
                               (None, None)])
     def test_missing_memory_skips_gate(self, baseline_peak,
                                        current_peak):
-        """An unmeasured run cannot be gated — either side missing
-        the memory section skips the check instead of failing it."""
+        """An unmeasured run gates exactly like a measured one."""
         assert check_regression(
             self._fingerprint(baseline_peak),
-            self._fingerprint(current_peak),
-            max_peak_rss_growth_pct=25.0) == []
+            self._fingerprint(current_peak)) == []
 
     def test_gate_off_by_default(self):
         assert check_regression(
@@ -405,15 +377,14 @@ class TestMemoryHomes:
         write_dimacs(pigeonhole(6), cnf)
         assert main(["solve", str(cnf), "--proof", str(proof)]) == 20
         paths = {"metrics": root / "m.json", "trace": root / "t.jsonl",
-                 "history": root / "hist", "live": root / "live"}
+                 "history": root / "hist", "cnf": cnf, "proof": proof}
         assert main(["verify", str(cnf), str(proof),
                      "--engine", "arena", "--procedure", "verification1",
                      "--jobs", "2",
                      "--metrics-out", str(paths["metrics"]),
                      "--trace-out", str(paths["trace"]),
                      "--mem-sample-period", "0.01",
-                     "--history-dir", str(paths["history"]),
-                     "--live-dir", str(paths["live"])]) == 0
+                     "--history-dir", str(paths["history"])]) == 0
         return paths
 
     def test_trace_carries_samples(self, run):
@@ -447,13 +418,16 @@ class TestMemoryHomes:
         assert memory["arena_peak_bytes"] > 0
 
     def test_live_view_rss_columns(self, run, capsys):
+        """The live view is the progress heartbeat: every
+        ``c progress:`` line ends with the beat's RSS reading."""
         from repro.cli import main
 
-        (status,) = run["live"].glob("*.json")
-        assert json.loads(status.read_text())["mem"]["peak_rss_bytes"] > 0
         capsys.readouterr()
-        assert main(["obs", "top", "--live-dir", str(run["live"])]) == 0
-        header, row = capsys.readouterr().out.splitlines()[:2]
-        assert "RSS" in header and "PEAK" in header
-        rss_column = header.split().index("RSS")
-        assert row.split()[rss_column] != "-"
+        assert main(["verify", str(run["cnf"]), str(run["proof"]),
+                     "--engine", "arena", "--progress",
+                     "--no-history"]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("c progress:")]
+        assert lines
+        for line in lines:
+            assert re.search(r", rss \d+\.\dM$", line), line

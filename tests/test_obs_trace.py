@@ -155,6 +155,29 @@ class TestProgress:
         progress.update(50)
         assert stream.getvalue().rstrip().endswith("eta 2s")
 
+    def test_heartbeat_ends_with_rss(self):
+        """The memory sampler rides the beat: its reading ends the
+        line, and a beat without one (dead or failing sampler) simply
+        omits the field."""
+        clock = FakeClock()
+        stream = io.StringIO()
+        readings = iter([{"rss_bytes": 27 * 1024 * 1024}, None])
+
+        def failing():
+            raise OSError("injected")
+
+        progress = ProgressReporter(4, stream=stream, interval=0,
+                                    clock=clock,
+                                    on_beat=lambda: next(readings))
+        progress.update(1)
+        progress.update(2)
+        progress.on_beat = failing
+        progress.finish(4)
+        lines = stream.getvalue().splitlines()
+        assert lines[0].endswith(", rss 27.0M")
+        assert "rss" not in lines[1]
+        assert lines[2] == "c progress: 4/4 checks, 0.0s elapsed"
+
 
 class TestExport:
     def _document(self):
