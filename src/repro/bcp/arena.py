@@ -53,6 +53,11 @@ inspected (a blocker hit is a watch visit but *not* a clause visit —
 that saved body inspection is precisely the optimization, and it is
 observable), ``assignments``/``purged``/``detach_misses`` as in
 :class:`~repro.bcp.engine.PropagationCounters`.
+
+Marked clauses (:meth:`~repro.bcp.engine.PropagatorBase.mark_core`)
+keep their entries in a second pair of columns, ``core_cids``/
+``core_blockers``, allocated on the first mark; the scan is the same
+code over either pair.
 """
 
 from __future__ import annotations
@@ -327,6 +332,9 @@ class ArenaPropagator(PropagatorBase):
         # Per-literal watch lists: parallel (cid, blocker) columns.
         self.watch_cids: list[list[int]] = [[], []]
         self.watch_blockers: list[list[int]] = [[], []]
+        # The marked table's columns (None until the first mark_core).
+        self.core_cids: list[list[int]] | None = None
+        self.core_blockers: list[list[int]] | None = None
         super().__init__(num_vars)
         if adopt:
             self._adopt()
@@ -338,6 +346,13 @@ class ArenaPropagator(PropagatorBase):
         self.watch_cids.append([])
         self.watch_blockers.append([])
         self.watch_blockers.append([])
+        if self.core_cids is not None:
+            self.core_cids += ([], [])
+            self.core_blockers += ([], [])
+
+    @property
+    def num_clauses(self) -> int:
+        return self.arena.num_clauses
 
     def _store_clause(self, lits: list[int]) -> int:
         cid = self.arena.append(lits)
@@ -412,8 +427,12 @@ class ArenaPropagator(PropagatorBase):
         lit_a = self.watch_a[cid]
         if lit_a < 0:
             return
+        if self.core is not None and self.core[cid]:
+            cids, blockers = self.core_cids, self.core_blockers
+        else:
+            cids, blockers = self.watch_cids, self.watch_blockers
         for enc in (lit_a, self.watch_b[cid]):
-            watchlist = self.watch_cids[enc]
+            watchlist = cids[enc]
             try:
                 pos = watchlist.index(cid)
             except ValueError:
@@ -422,7 +441,20 @@ class ArenaPropagator(PropagatorBase):
                 self.counters.detach_misses += 1
             else:
                 del watchlist[pos]
-                del self.watch_blockers[enc][pos]
+                del blockers[enc][pos]
+
+    def _alloc_core_table(self) -> None:
+        self.core_cids = [[] for _ in self.watch_cids]
+        self.core_blockers = [[] for _ in self.watch_cids]
+
+    def _move_to_core(self, cid: int) -> None:
+        for enc in (self.watch_a[cid], self.watch_b[cid]):
+            watchlist = self.watch_cids[enc]
+            pos = watchlist.index(cid)
+            del watchlist[pos]
+            self.core_cids[enc].append(cid)
+            self.core_blockers[enc].append(
+                self.watch_blockers[enc].pop(pos))
 
     def remove_clause(self, cid: int) -> None:
         """Tombstone a clause via its flag byte (the pool is immutable,
@@ -435,18 +467,20 @@ class ArenaPropagator(PropagatorBase):
 
     # -- propagation -------------------------------------------------------
 
-    def propagate(self, ceiling: int | None = None) -> int | None:
-        standing = self._standing_conflict(ceiling)
-        if standing is not None:
-            return standing
+    def _scan(self, marked: bool, head: int, ceiling: int | None,
+              stop_on_assign: bool) -> tuple[int | None, int]:
         values = self.values
         self._sync_mirror()
         pool = self._pool
         starts = self._starts
         watch_a = self.watch_a
         watch_b = self.watch_b
-        watch_cids = self.watch_cids
-        watch_blockers = self.watch_blockers
+        if marked:
+            watch_cids = self.core_cids
+            watch_blockers = self.core_blockers
+        else:
+            watch_cids = self.watch_cids
+            watch_blockers = self.watch_blockers
         retire = self.retire_ceiling
         counters = self.counters
         trail = self.trail
@@ -458,11 +492,10 @@ class ArenaPropagator(PropagatorBase):
         body_visits = 0
         assigns = 0
         purged = 0
-        qhead = self.qhead
         try:
-            while qhead < len(trail):
-                enc = trail[qhead]
-                qhead += 1
+            while head < len(trail):
+                enc = trail[head]
+                head += 1
                 false_lit = enc ^ 1
                 watchlist = watch_cids[false_lit]
                 blockers = watch_blockers[false_lit]
@@ -564,7 +597,7 @@ class ArenaPropagator(PropagatorBase):
                                 i += 1
                             del watchlist[j:]
                             del blockers[j:]
-                        return cid
+                        return cid, head
                     assigns += 1
                     values[first] = TRUE
                     values[first ^ 1] = FALSE
@@ -575,9 +608,10 @@ class ArenaPropagator(PropagatorBase):
                 if j >= 0:
                     del watchlist[j:]
                     del blockers[j:]
-            return None
+                if stop_on_assign and assigns:
+                    break
+            return None, head
         finally:
-            self.qhead = qhead
             counters.watch_visits += visits
             counters.clause_visits += body_visits
             counters.assignments += assigns

@@ -23,6 +23,11 @@ cids from the occurrence lists as they are scanned; the n_true/n_false
 counters of *retired* clauses are allowed to drift afterwards (their
 occurrence entries disappear asymmetrically), which is harmless because
 retired clauses are never consulted again.
+
+Core-first propagation needs no second table here: the occurrence
+lists are fixed, so the marked and plain "tables" are the same lists
+filtered by the core byte of :meth:`PropagatorBase.mark_core` (each
+pass counts only the entries of its own side as watch visits).
 """
 
 from __future__ import annotations
@@ -107,28 +112,32 @@ class CountingPropagator(PropagatorBase):
             if cid < retire:
                 n_false[cid] -= 1
 
-    def propagate(self, ceiling: int | None = None) -> int | None:
-        standing = self._standing_conflict(ceiling)
-        if standing is not None:
-            return standing
+    def _scan(self, marked: bool, head: int, ceiling: int | None,
+              stop_on_assign: bool) -> tuple[int | None, int]:
         values = self.values
         clauses = self.clauses
         n_false = self.n_false
         n_true = self.n_true
+        trail = self.trail
         retire = self.retire_ceiling
+        core = self.core
+        side = 1 if marked else 0
         counters = self.counters
         visits = 0
         body_visits = 0
         try:
-            while self.qhead < len(self.trail):
-                enc = self.trail[self.qhead]
-                self.qhead += 1
+            while head < len(trail):
+                enc = trail[head]
+                head += 1
+                size = len(trail)
                 # Clauses containing ¬enc just lost a literal; find the
                 # ones that became unit or empty.
                 occs = self.occurrences[enc ^ 1]
                 if retire != NO_CEILING:
                     self._purge_retired(occs)
                 for cid in occs:
+                    if core is not None and core[cid] != side:
+                        continue
                     visits += 1
                     if ceiling is not None and cid >= ceiling:
                         continue
@@ -138,13 +147,15 @@ class CountingPropagator(PropagatorBase):
                     clause = clauses[cid]
                     remaining = len(clause) - n_false[cid]
                     if remaining == 0:
-                        return cid
+                        return cid, head
                     if remaining == 1:
                         for lit in clause:
                             if values[lit] == UNDEF:
                                 self.enqueue(lit, cid)
                                 break
-            return None
+                if stop_on_assign and len(trail) > size:
+                    break
+            return None, head
         finally:
             counters.watch_visits += visits
             counters.clause_visits += body_visits

@@ -17,6 +17,11 @@ Conventions
   how the verifier checks proof clause *i* against only the clauses deduced
   before it without rebuilding the engine (Section 3: BCP over
   ``F ∪ F*``-prefix).
+* :meth:`PropagatorBase.mark_core` moves a clause into a second, *marked*
+  watch table, and :meth:`PropagatorBase.propagate` then runs core-first:
+  it closes over the marked table before it visits unmarked watches (see
+  :meth:`PropagatorBase.propagate`).  Nothing is allocated until the
+  first mark, so an engine nobody marks scans one table, as before.
 """
 
 from __future__ import annotations
@@ -95,7 +100,13 @@ class PropagatorBase:
         self.reasons: list[int | None] = [None]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.qhead = 0
+        # Propagation heads into ``trail``: one per watch table (see
+        # propagate()); the ``qhead`` property moves both.
+        self._qhead = 0
+        self._core_qhead = 0
+        # Per-clause core bytes (1 = marked), allocated by the first
+        # mark_core() together with the engine's marked table.
+        self.core: bytearray | None = None
         self.clauses: list[list[int]] = []
         self.empty_clause_cid: int | None = None
         # Set when a unit clause added at level 0 contradicts the current
@@ -124,6 +135,24 @@ class PropagatorBase:
     def _on_new_var(self) -> None:
         """Subclass hook: grow per-literal structures (watches, occs)."""
 
+    @property
+    def num_clauses(self) -> int:
+        """Number of clause ids handed out (tombstones included)."""
+        return len(self.clauses)
+
+    @property
+    def qhead(self) -> int:
+        """Trail position of the next literal BCP will propagate.
+
+        Setting it rewinds (or advances) the heads of both watch tables
+        together: drivers set it to 0 to rescan the whole trail."""
+        return self._qhead
+
+    @qhead.setter
+    def qhead(self, pos: int) -> None:
+        self._qhead = pos
+        self._core_qhead = pos
+
     def add_clause(self, enc_lits: list[int],
                    propagate_units: bool = True) -> int:
         """Add a clause of encoded literals; return its clause id.
@@ -147,6 +176,8 @@ class PropagatorBase:
                 max_var = var
         self.ensure_vars(max_var)
         cid = self._store_clause(lits)
+        if self.core is not None:
+            self.core.append(0)
         if not lits:
             if self.empty_clause_cid is None:
                 self.empty_clause_cid = cid
@@ -218,6 +249,40 @@ class PropagatorBase:
     def _detach(self, cid: int) -> None:
         raise NotImplementedError
 
+    # -- core-first propagation -------------------------------------------
+
+    def mark_core(self, cid: int) -> None:
+        """Mark clause ``cid`` as part of the core (idempotent).
+
+        The clause's two watch entries move into the marked table, which
+        :meth:`propagate` closes over first.  A unit or empty clause (no
+        watches) and a clause already retired by :meth:`retire_above`
+        (its entries may be purged) only get the core byte.  The first
+        call allocates the core bytes and the marked table.
+        """
+        core = self.core
+        if core is None:
+            core = self.core = bytearray(self.num_clauses)
+            self._alloc_core_table()
+            self._core_qhead = self._qhead
+        if core[cid]:
+            return
+        core[cid] = 1
+        if cid < self.retire_ceiling and self.clause_len(cid) >= 2:
+            self._move_to_core(cid)
+        # A marked head past the plain one would skip the moved
+        # clause's pending literals; rescanning them is merely extra
+        # work.
+        if self._core_qhead > self._qhead:
+            self._core_qhead = self._qhead
+
+    def _alloc_core_table(self) -> None:
+        """Subclass hook: allocate the (empty) marked table."""
+
+    def _move_to_core(self, cid: int) -> None:
+        """Subclass hook: move the watch entries of a live, watched
+        clause from the plain table to the marked table."""
+
     # -- assignment ------------------------------------------------------
 
     @property
@@ -274,7 +339,7 @@ class PropagatorBase:
             self._on_unassign(enc, pos)
         del self.trail[limit:]
         del self.trail_lim[level:]
-        self.qhead = limit
+        self._qhead = self._core_qhead = limit
 
     def unwind_to(self, pos: int) -> None:
         """Unassign ``trail[pos:]`` without closing any decision level.
@@ -300,7 +365,8 @@ class PropagatorBase:
             self.reasons[var] = None
             self._on_unassign(enc, p)
         del self.trail[pos:]
-        self.qhead = min(self.qhead, pos)
+        self._qhead = min(self._qhead, pos)
+        self._core_qhead = min(self._core_qhead, pos)
 
     def _on_unassign(self, enc: int, pos: int) -> None:
         """Subclass hook: undo per-assignment state (counters).
@@ -325,6 +391,41 @@ class PropagatorBase:
         With a ``ceiling``, clauses with id ``>= ceiling`` neither
         propagate nor conflict (they are "not yet deduced" from the
         verifier's point of view).
+
+        With nothing marked this is one scan of the plain table.  Once
+        :meth:`mark_core` has marked a clause, BCP is core-first: each
+        round closes the trail over the marked table, then scans the
+        plain table from its own head only until one watch list assigns
+        a literal, and goes back to the marked table.  A conflict is
+        thus found among marked clauses whenever the marked table alone
+        reaches one.
+        """
+        standing = self._standing_conflict(ceiling)
+        if standing is not None:
+            return standing
+        scan = self._scan
+        if self.core is None:
+            confl, self._qhead = scan(False, self._qhead, ceiling, False)
+            return confl
+        trail = self.trail
+        while True:
+            confl, self._core_qhead = scan(True, self._core_qhead,
+                                           ceiling, False)
+            if confl is not None or self._qhead == len(trail):
+                return confl
+            confl, self._qhead = scan(False, self._qhead, ceiling, True)
+            if confl is not None:
+                return confl
+
+    def _scan(self, marked: bool, head: int, ceiling: int | None,
+              stop_on_assign: bool) -> tuple[int | None, int]:
+        """Engine hook: propagate ``trail[head:]`` through one table.
+
+        ``marked`` selects the marked table, else the plain one.  The
+        scan runs to the end of the trail, including literals it
+        assigns itself, or, with ``stop_on_assign``, until the first
+        watch list that assigned a literal has been finished.  Returns
+        ``(conflicting cid or None, new head)``.
         """
         raise NotImplementedError
 

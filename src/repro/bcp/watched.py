@@ -9,7 +9,10 @@ visited only when one of its two watches fires, not on every assignment.
 
 The implementation follows MiniSat: the falsified watch is normalized to
 position 1 of the clause, position 0 holds the other watch, and watch
-lists are compacted in place during the scan.
+lists are compacted in place during the scan.  Marked clauses
+(:meth:`~repro.bcp.engine.PropagatorBase.mark_core`) keep their watches
+in a second per-literal table, ``core_watches``, allocated on the first
+mark.
 """
 
 from __future__ import annotations
@@ -22,11 +25,24 @@ class WatchedPropagator(PropagatorBase):
 
     def __init__(self, num_vars: int = 0):
         self.watches: list[list[int]] = [[], []]
+        self.core_watches: list[list[int]] | None = None
         super().__init__(num_vars)
 
     def _on_new_var(self) -> None:
         self.watches.append([])
         self.watches.append([])
+        if self.core_watches is not None:
+            self.core_watches.append([])
+            self.core_watches.append([])
+
+    def _alloc_core_table(self) -> None:
+        self.core_watches = [[] for _ in self.watches]
+
+    def _move_to_core(self, cid: int) -> None:
+        lits = self.clauses[cid]
+        for enc in (lits[0], lits[1]):
+            self.watches[enc].remove(cid)
+            self.core_watches[enc].append(cid)
 
     def _attach(self, cid: int) -> None:
         lits = self.clauses[cid]
@@ -41,8 +57,10 @@ class WatchedPropagator(PropagatorBase):
         lits = self.clauses[cid]
         if len(lits) == 1:
             return
+        table = self.core_watches if self.core is not None \
+            and self.core[cid] else self.watches
         for enc in (lits[0], lits[1]):
-            watchlist = self.watches[enc]
+            watchlist = table[enc]
             try:
                 watchlist.remove(cid)
             except ValueError:
@@ -52,13 +70,12 @@ class WatchedPropagator(PropagatorBase):
                 # the instrumentation.
                 self.counters.detach_misses += 1
 
-    def propagate(self, ceiling: int | None = None) -> int | None:
-        standing = self._standing_conflict(ceiling)
-        if standing is not None:
-            return standing
+    def _scan(self, marked: bool, head: int, ceiling: int | None,
+              stop_on_assign: bool) -> tuple[int | None, int]:
         values = self.values
         clauses = self.clauses
-        watches = self.watches
+        watches = self.core_watches if marked else self.watches
+        trail = self.trail
         retire = self.retire_ceiling
         counters = self.counters
         visits = 0
@@ -66,9 +83,9 @@ class WatchedPropagator(PropagatorBase):
         assigns = 0
         purged = 0
         try:
-            while self.qhead < len(self.trail):
-                enc = self.trail[self.qhead]
-                self.qhead += 1
+            while head < len(trail):
+                enc = trail[head]
+                head += 1
                 false_lit = enc ^ 1
                 watchlist = watches[false_lit]
                 i = 0
@@ -119,16 +136,18 @@ class WatchedPropagator(PropagatorBase):
                             j += 1
                             i += 1
                         del watchlist[j:]
-                        return cid
+                        return cid, head
                     assigns += 1
-                    self.values[first] = TRUE
-                    self.values[first ^ 1] = FALSE
+                    values[first] = TRUE
+                    values[first ^ 1] = FALSE
                     var = first >> 1
                     self.levels[var] = len(self.trail_lim)
                     self.reasons[var] = cid
-                    self.trail.append(first)
+                    trail.append(first)
                 del watchlist[j:]
-            return None
+                if stop_on_assign and assigns:
+                    break
+            return None, head
         finally:
             counters.watch_visits += visits
             counters.clause_visits += body_visits

@@ -260,7 +260,8 @@ def arena_mem_stats(engine) -> dict | None:
     """Engine-native memory accounting for the arena BCP engine.
 
     Duck-typed on the :class:`~repro.bcp.arena.ArenaPropagator`
-    surface: the arena's flat pool plus the watch tables.  Returns
+    surface: the arena's flat pool plus the watch tables, the marked
+    (core-first) table included once allocated.  Returns
     ``None`` for engines without an arena (watched/counting keep
     per-clause Python lists — there is no flat pool to measure)."""
     arena = getattr(engine, "arena", None)
@@ -270,7 +271,8 @@ def arena_mem_stats(engine) -> dict | None:
     itemsize = getattr(pool, "itemsize", 4)
     pool_words = len(pool)
     watch_entries = 0
-    for attr in ("watch_cids", "watch_blockers"):
+    for attr in ("watch_cids", "watch_blockers", "core_cids",
+                 "core_blockers"):
         lists = getattr(engine, attr, None)
         if lists is not None:
             watch_entries += sum(len(entry) for entry in lists)

@@ -135,7 +135,8 @@ def _resolve_engine_cls(engine_cls, obs, mode: str | None = None,
         requested = "default(depgraph)"
         resolved = CountingPropagator
         reason = ("depgraph capture: counting's fixed occurrence "
-                  "lists make provenance order-independent")
+                  "lists make provenance order-independent; "
+                  "core-first propagation is off")
     else:
         requested = "default"
         resolved = WatchedPropagator
@@ -344,6 +345,15 @@ def verify_proof_v2(
     redundant and skipped; marked clauses of ``F`` form the unsatisfiable
     core.
 
+    Every mark is also handed to the engine's
+    :meth:`~repro.bcp.engine.PropagatorBase.mark_core`, so each later
+    check propagates core-first: BCP closes over the marked clauses
+    before it visits unmarked ones, its conflict is found among clauses
+    already in the core where possible, and fewer clauses get newly
+    marked.  Under dependency-graph capture the engine is left unmarked:
+    each check's support then depends only on ``(F, F*, index)``, not
+    on which checks marked what before it.
+
     An exhausted ``budget`` aborts with ``resource_limit_exceeded``; no
     core is reported for a partial run (marking is incomplete).  ``obs``
     attaches the optional instrumentation layer; the marked-clause
@@ -366,12 +376,22 @@ def verify_proof_v2(
                                meter=meter)
     counters = checker.engine.counters
     num_input = formula.num_clauses
+    capture = obs is not None and obs.wants_depgraph
+    mark_core = None if capture else checker.engine.mark_core
     marked: set[int] = set()
+
+    def mark(cids: set[int]) -> None:
+        new = cids - marked
+        marked.update(new)
+        if mark_core is not None:
+            for cid in new:
+                mark_core(cid)
+
     if proof.ending == ENDING_FINAL_PAIR:
-        marked.add(checker.cid_of_proof_clause(len(proof) - 1))
-        marked.add(checker.cid_of_proof_clause(len(proof) - 2))
+        mark({checker.cid_of_proof_clause(len(proof) - 1),
+              checker.cid_of_proof_clause(len(proof) - 2)})
     else:
-        marked.add(checker.cid_of_proof_clause(len(proof) - 1))
+        mark({checker.cid_of_proof_clause(len(proof) - 1)})
 
     checked = 0
     skipped = 0
@@ -387,7 +407,6 @@ def verify_proof_v2(
                     checked / len(proof),
                     help="Fraction of F* that had to be checked")
 
-    capture = obs is not None and obs.wants_depgraph
     with build.phase("checks"):
         for index in range(len(proof) - 1, -1, -1):
             cid = checker.cid_of_proof_clause(index)
@@ -418,13 +437,13 @@ def verify_proof_v2(
                 # the provenance record — the depgraph is the paper's
                 # marking machinery made visible, not a second pass.
                 if obs is None:
-                    marked.update(collect_responsible(
-                        checker.engine, outcome.confl_cid))
+                    mark(collect_responsible(checker.engine,
+                                             outcome.confl_cid))
                 else:
                     with build.phase("marking"):
                         responsible = collect_responsible(
                             checker.engine, outcome.confl_cid)
-                        marked.update(responsible)
+                        mark(responsible)
                     if capture:
                         obs.record_dependency(
                             index, cid, responsible,

@@ -390,3 +390,233 @@ class TestRegistry:
     def test_retired_names_are_unknown(self, name):
         with pytest.raises(ValueError, match="unknown BCP engine"):
             resolve_engine(name)
+
+
+# -- core-first propagation -------------------------------------------------
+
+def table_entries(engine, cid):
+    """``(plain, marked)`` watch-table entries of clause ``cid``.
+
+    The counting engine has no second table: its occurrence lists are
+    split by the core byte instead."""
+    if isinstance(engine, CountingPropagator):
+        entries = sum(occs.count(cid) for occs in engine.occurrences)
+        marked = engine.core is not None and engine.core[cid]
+        return (0, entries) if marked else (entries, 0)
+    if isinstance(engine, ArenaPropagator):
+        plain, marked = engine.watch_cids, engine.core_cids
+    else:
+        plain, marked = engine.watches, engine.core_watches
+
+    def count(table):
+        return sum(row.count(cid) for row in table or ())
+
+    return count(plain), count(marked)
+
+
+def marked_tables(engine):
+    if isinstance(engine, ArenaPropagator):
+        return engine.core_cids, engine.core_blockers
+    if isinstance(engine, WatchedPropagator):
+        return (engine.core_watches,)
+    return ()
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+class TestMarkCore:
+    def build_mix(self, engine_cls):
+        """Two long clauses, a binary, a unit and a clause whose
+        watch-list entry retirement has already purged."""
+        engine = engine_cls(5)
+        cids = {name: engine.add_clause(enc_clause(lits),
+                                        propagate_units=False)
+                for name, lits in (("long", [1, 2, 3, 4]),
+                                   ("long2", [-1, -2, 3, 5]),
+                                   ("binary", [2, -3]),
+                                   ("unit", [4]),
+                                   ("retired", [-4, 5, 1]))}
+        engine.retire_above(cids["retired"])
+        engine.assume(encode(4))  # falsifies the retired clause's watch
+        assert engine.propagate() is None
+        engine.backtrack(0)
+        assert engine.counters.purged == 1
+        return engine, cids
+
+    def test_each_live_clause_in_exactly_one_table(self, engine_cls):
+        engine, cids = self.build_mix(engine_cls)
+        for name in ("long", "binary", "unit", "retired"):
+            engine.mark_core(cids[name])
+            engine.mark_core(cids[name])  # idempotent
+        counting = engine_cls is CountingPropagator
+        for name in ("long", "long2", "binary", "unit"):
+            cid = cids[name]
+            size = engine.clause_len(cid)
+            expected = size if counting else (2 if size >= 2 else 0)
+            plain, marked = table_entries(engine, cid)
+            if name == "long2":
+                assert (plain, marked) == (expected, 0)
+            else:
+                assert (plain, marked) == (0, expected)
+        assert all(engine.core[cid] for name, cid in cids.items()
+                   if name != "long2")
+        # Retired before it was marked: it only gets the core byte.
+        if not counting:
+            assert table_entries(engine, cids["retired"])[1] == 0
+
+    def test_marked_clauses_still_propagate(self, engine_cls):
+        engine, cids = self.build_mix(engine_cls)
+        engine.mark_core(cids["binary"])
+        engine.mark_core(cids["long"])
+        engine.assume(encode(-2))
+        assert engine.propagate() is None
+        # (2 ∨ ¬3) forces ¬3 from the marked table.
+        assert engine.value(encode(-3)) == TRUE
+        engine.assume(encode(-1))
+        assert engine.propagate() is None
+        assert engine.value(encode(4)) == TRUE
+        assert engine.reasons[4] == cids["long"]
+
+    def test_mark_after_conflict_rescans_pending_literals(self,
+                                                         engine_cls):
+        # The plain table stops at a conflict while the marked head is
+        # already past literal 3; a clause marked now must still see it.
+        engine = engine_cls(6)
+        add = [engine.add_clause(enc_clause(lits), propagate_units=False)
+               for lits in ([-1, 2], [-1, 3], [-2, -3], [-3, 6])]
+        engine.mark_core(add[0])
+        engine.assume(encode(1))
+        assert engine.propagate() == add[2]
+        engine.mark_core(add[3])
+        engine.propagate()
+        assert engine.value(encode(6)) == TRUE
+
+
+@pytest.mark.parametrize("engine_cls",
+                         [cls for cls in ENGINES if cls.supports_removal])
+def test_remove_marked_clause_detaches_cleanly(engine_cls):
+    engine = engine_cls(4)
+    cid = engine.add_clause(enc_clause([1, 2, 3]), propagate_units=False)
+    binary = engine.add_clause(enc_clause([-1, 4]), propagate_units=False)
+    engine.mark_core(cid)
+    engine.mark_core(binary)
+    engine.remove_clause(cid)
+    engine.remove_clause(binary)
+    assert engine.counters.detach_misses == 0
+    assert table_entries(engine, cid) == (0, 0)
+    assert table_entries(engine, binary) == (0, 0)
+
+
+class TestCoreFirstDifferential:
+    """Marking changes the order BCP visits clauses, never what the
+    fixpoint contains or whether a conflict exists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_marks_do_not_change_outcomes(self, data):
+        num_vars = data.draw(st.integers(min_value=2, max_value=10))
+        num_clauses = data.draw(st.integers(min_value=1, max_value=25))
+        seed = data.draw(st.integers(min_value=0, max_value=10_000))
+        rng = random.Random(seed)
+        clauses = []
+        for _ in range(num_clauses):
+            variables = rng.sample(range(1, num_vars + 1),
+                                   min(rng.randint(1, 4), num_vars))
+            clauses.append([v if rng.random() < .5 else -v
+                            for v in variables])
+        decisions = [rng.choice([v, -v])
+                     for v in rng.sample(range(1, num_vars + 1),
+                                         num_vars)]
+        # Marks arrive before the search and between decisions, the
+        # way verification2 marks between checks.
+        marks = [[cid for cid in range(num_clauses) if rng.random() < .3]
+                 for _ in range(len(decisions) + 1)]
+
+        def run(engine_cls, marking):
+            engine = engine_cls(num_vars)
+            for cl in clauses:
+                engine.add_clause(enc_clause(cl), propagate_units=False)
+            engine.new_level()
+            for cid, cl in enumerate(clauses):
+                if len(cl) == 1 and not engine.enqueue(encode(cl[0]),
+                                                       cid):
+                    return set(), ["unit"]
+            if marking:
+                for cid in marks[0]:
+                    engine.mark_core(cid)
+            if engine.propagate() is not None:
+                return set(), ["root"]
+            conflicts = []
+            for step, lit in enumerate(decisions, 1):
+                if marking:
+                    for cid in marks[step]:
+                        engine.mark_core(cid)
+                if engine.value(encode(lit)) != UNDEF:
+                    continue
+                engine.assume(encode(lit))
+                if engine.propagate() is not None:
+                    conflicts.append(lit)
+                    engine.backtrack(engine.decision_level - 1)
+            return set(engine.trail), conflicts
+
+        for engine_cls in ENGINES:
+            assert run(engine_cls, True) == run(engine_cls, False)
+
+
+class TestMarkedTablesLazy:
+    """Nothing outside verification2 marks, so nothing else allocates
+    the marked tables: the core-first machinery costs them no memory."""
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        from repro.bcp.engine import PropagatorBase
+
+        created = []
+        init = PropagatorBase.__init__
+
+        def recording_init(self, *args, **kwargs):
+            created.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PropagatorBase, "__init__", recording_init)
+        return created
+
+    def assert_unmarked(self, engines):
+        assert engines
+        for engine in engines:
+            assert engine.core is None
+            assert all(table is None for table in marked_tables(engine))
+
+    @pytest.mark.parametrize("engine", ["watched", "counting"])
+    def test_solver(self, engines, engine):
+        from repro.benchgen.php import pigeonhole
+        from repro.solver.cdcl import solve
+
+        assert solve(pigeonhole(4), engine=engine).is_unsat
+        self.assert_unmarked(engines)
+
+    @pytest.mark.parametrize("engine", sorted(REGISTRY))
+    @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
+    def test_sequential_v1(self, engines, engine, mode):
+        from repro.benchgen.php import pigeonhole
+        from repro.proofs.conflict_clause import ConflictClauseProof
+        from repro.solver.cdcl import solve
+        from repro.verify.verification import verify_proof_v1
+
+        formula = pigeonhole(4)
+        proof = ConflictClauseProof.from_log(solve(formula).log)
+        del engines[:]
+        assert verify_proof_v1(formula, proof, engine, mode=mode).ok
+        self.assert_unmarked(engines)
+
+    @pytest.mark.parametrize("engine", removal_engines())
+    def test_check_drup(self, engines, engine):
+        from repro.benchgen.php import pigeonhole
+        from repro.proofs.drup import DrupProof
+        from repro.solver.cdcl import solve
+        from repro.verify.forward import check_drup
+
+        formula = pigeonhole(4)
+        drup = DrupProof.from_log(solve(formula).log)
+        del engines[:]
+        assert check_drup(formula, drup, engine_cls=engine).ok
+        self.assert_unmarked(engines)

@@ -256,6 +256,24 @@ class TestArenaStats:
         assert after["live_clauses"] == 0
         assert after["fragmentation"] > 0.0
 
+    def test_marking_keeps_watch_entries(self):
+        # mark_core moves entries into the marked table; the gauge
+        # counts both tables, so it must not move.
+        from repro.bcp.arena import ArenaPropagator
+        from repro.core.literals import encode
+
+        engine = ArenaPropagator(4)
+        cids = [engine.add_clause([encode(lit) for lit in lits],
+                                  propagate_units=False)
+                for lits in ([1, 2, 3], [-1, 4], [2, -3, -4], [1, 3])]
+        before = arena_mem_stats(engine)
+        for cid in cids[:3]:
+            engine.mark_core(cid)
+        after = arena_mem_stats(engine)
+        assert sum(map(len, engine.core_cids)) == 6
+        assert after["watch_entries"] == before["watch_entries"] == 16
+        assert after["watch_bytes"] == before["watch_bytes"]
+
     def test_non_arena_engine_is_none(self):
         from repro.bcp.watched import WatchedPropagator
 

@@ -12,7 +12,9 @@ from repro.proofs.conflict_clause import (
     ConflictClauseProof,
 )
 from repro.solver.cdcl import solve
+from repro.obs import Obs
 from repro.solver.dpll import dpll_solve
+from repro.verify.core_extraction import validate_core
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
 from tests.conftest import random_formula
@@ -150,3 +152,58 @@ class TestAgreementWithV1:
             proof = ConflictClauseProof.from_log(result.log)
             assert (verify_proof_v1(formula, proof).ok
                     == verify_proof_v2(formula, proof).ok)
+
+
+class TestCoreFirst:
+    """verification2 propagates core-first; its cores must stay valid
+    on every engine, and depgraph capture keeps the plain order."""
+
+    ENGINES = ("watched", "arena", "counting")
+    # The paper's worked example: (4 5) is padding outside the cone.
+    PAPER_F = CnfFormula([[1, 2], [1, -2], [-1, 3], [-1, -3], [4, 5]])
+    PAPER_PROOF = ConflictClauseProof([(1,), (-1,)], ENDING_FINAL_PAIR)
+
+    @pytest.fixture(scope="class")
+    def php5(self):
+        formula = pigeonhole(5)
+        return formula, proof_of(formula)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
+    def test_pigeonhole_core_is_valid(self, php5, engine, mode):
+        formula, proof = php5
+        report = verify_proof_v2(formula, proof, engine, mode=mode)
+        assert report.ok
+        assert validate_core(report.core)
+        # The marked proof clauses refute the core on their own.
+        trimmed = ConflictClauseProof(
+            [proof[i] for i in report.marked_proof_indices],
+            proof.ending)
+        assert verify_proof_v1(report.core.as_formula(), trimmed).ok
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_paper_example_core_is_valid(self, engine):
+        report = verify_proof_v2(self.PAPER_F, self.PAPER_PROOF, engine)
+        assert report.ok
+        assert report.core.clause_indices == (0, 1, 2, 3)
+        assert validate_core(report.core)
+
+    @pytest.mark.parametrize("engine", [None, "watched", "arena"])
+    @pytest.mark.parametrize("mode", ["rebuild", "incremental"])
+    def test_capture_keeps_plain_order(self, php5, engine, mode):
+        from repro.bcp import resolve_engine
+
+        base = CountingPropagator if engine is None \
+            else resolve_engine(engine)
+
+        class Unmarked(base):
+            def mark_core(self, cid):
+                pass
+
+        formula, proof = php5
+        plain = verify_proof_v2(formula, proof, Unmarked, mode=mode)
+        captured = verify_proof_v2(formula, proof, engine, mode=mode,
+                                   obs=Obs.enabled(depgraph=True))
+        assert captured.num_checked == plain.num_checked
+        assert captured.bcp_counters == plain.bcp_counters
+        assert captured.core.clause_indices == plain.core.clause_indices
