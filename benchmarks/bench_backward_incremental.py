@@ -9,8 +9,7 @@ clauses behind the moving ceiling; ``arena`` runs the incremental
 checker on the flat clause-arena engine (blocker literals skip clause
 bodies — visible in the ``clause_visits`` column); ``parallel`` shards
 the incremental checker across a process pool, and ``arena-parallel``
-does the same with the clause database in one zero-copy shared-memory
-arena.
+does the same with the arena engine in every worker.
 
 The ``streaming`` family is different in kind: deletion-chain traces
 (``repro.benchgen.deletion_chain``) checked by the one-pass

@@ -8,8 +8,7 @@ prerequisite (Section 2):
 * :class:`CountingPropagator` — classic counter-based scheme, used as a
   differential-testing oracle and ablation baseline;
 * :class:`ArenaPropagator` — watched literals with blockers over a flat
-  :class:`ClauseArena` literal pool; serializes to shared memory for
-  the zero-copy parallel backend.
+  :class:`ClauseArena` literal pool (DRAT-trim's layout).
 
 The CLI and the verification drivers select engines by name through
 :data:`ENGINES` / :func:`resolve_engine`.

@@ -1,4 +1,4 @@
-"""Flat clause-arena BCP engine with zero-copy shared-memory export.
+"""Flat clause-arena BCP engine.
 
 The list-of-lists clause database of the other engines pays a Python
 object per clause and a pointer chase per literal.  DRAT-trim (Heule
@@ -16,30 +16,18 @@ observation applied to our engines.
 * ``flags`` — one byte per clause; bit 0 marks a deletion tombstone
   (the pool itself is never compacted, cids stay dense and stable).
 
-Because the arena is two contiguous ``int32`` buffers, it serializes to
-a single :class:`multiprocessing.shared_memory.SharedMemory` block:
-:meth:`ClauseArena.to_shared_memory` lays out
-``[num_vars, num_clauses, pool_len] + starts + pool`` and returns a
-small picklable :class:`ArenaHandle`; :meth:`ClauseArena
-.from_shared_memory` maps it back as **read-only** ``memoryview``\\ s
-without copying a byte.  That gives the parallel verification backend
-a zero-copy transport: the parent builds ``F ∪ F*`` once, every worker
-maps the same physical pages and keeps only its private
-trail/assignment state — no fork-time page duplication, and the spawn
-start method works because nothing large crosses a pickle boundary.
-
 :class:`ArenaPropagator` implements the :class:`~repro.bcp.engine.
 PropagatorBase` contract over an arena.  The watch machinery lives
-*outside* the (possibly immutable, possibly shared) pool:
+*outside* the append-only pool:
 
 * ``watch_a``/``watch_b`` — the two watched literals per clause
-  (MiniSat normalizes watches by reordering the clause body; a shared
-  pool cannot be written, so the watch *table* is what moves);
-* a process-local list mirror of ``pool``/``starts`` that the hot loop
-  scans — CPython builds a fresh int object per ``array`` element
-  access, while list elements are pre-built objects, so mirroring the
-  compact buffers into lists once per process buys back the per-access
-  boxing cost without giving up the shared transport format;
+  (MiniSat normalizes watches by reordering the clause body; the pool
+  is never written after an append, so the watch *table* is what
+  moves);
+* a list mirror of ``pool``/``starts`` that the hot loop scans —
+  CPython builds a fresh int object per ``array`` element access,
+  while list elements are pre-built objects, so mirroring the compact
+  buffers into lists buys back the per-access boxing cost;
 * ``watch_cids``/``watch_blockers`` — per-literal watch lists as
   parallel flat lists, each entry carrying a *blocker* literal (any
   literal of the clause, typically the other watch).  A visit whose
@@ -63,30 +51,12 @@ code over either pair.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from repro.bcp.engine import FALSE, TRUE, NO_CEILING as _NO_CEILING, \
     PropagatorBase
 
 # flags bits
 _DELETED = 1
-
-# Header words of the shared-memory layout.
-_HEADER_WORDS = 3
-
-
-@dataclass(frozen=True)
-class ArenaHandle:
-    """A picklable reference to a shared-memory arena.
-
-    Small enough to cross any start-method boundary (a name and two
-    integers); the receiving process attaches with
-    :meth:`ClauseArena.from_shared_memory`.
-    """
-
-    name: str
-    num_clauses: int
-    pool_len: int
 
 
 class ClauseArena:
@@ -103,9 +73,6 @@ class ClauseArena:
         # recomputed by scanning flags.
         self.live_clauses = 0
         self.live_words = 0
-        # True when pool/starts are read-only views of shared memory.
-        self.readonly = False
-        self._shm = None
 
     @property
     def num_clauses(self) -> int:
@@ -125,9 +92,6 @@ class ClauseArena:
 
     def append(self, enc_lits) -> int:
         """Append a clause of encoded literals; return its cid."""
-        if self.readonly:
-            raise ValueError(
-                "cannot append to a shared-memory-attached arena")
         cid = len(self.starts) - 1
         pool = self.pool
         num_vars = self.num_vars
@@ -161,168 +125,18 @@ class ClauseArena:
             return ()
         return self.pool[self.starts[cid]:self.starts[cid + 1]]
 
-    # -- shared-memory transport ------------------------------------------
-
-    def to_shared_memory(self) -> ArenaHandle:
-        """Copy the arena into one shared-memory block; return its handle.
-
-        The creating process owns the segment: call
-        :meth:`release_shared` (with ``unlink=True``) once every
-        attached process is done with it.  ``flags`` are deliberately
-        not shipped — deletions are process-local state and the
-        verification workers never delete.
-        """
-        from multiprocessing import shared_memory
-
-        if self._shm is not None:
-            raise ValueError("arena is already exported")
-        header = array("i", [self.num_vars, self.num_clauses,
-                             len(self.pool)])
-        itemsize = header.itemsize
-        words = _HEADER_WORDS + len(self.starts) + len(self.pool)
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(1, words * itemsize))
-        view = memoryview(shm.buf).cast("B").cast("i")
-        offset = _HEADER_WORDS
-        view[:offset] = header
-        view[offset:offset + len(self.starts)] = self.starts
-        offset += len(self.starts)
-        if len(self.pool):
-            view[offset:offset + len(self.pool)] = self.pool
-        view.release()
-        self._shm = shm
-        return ArenaHandle(name=shm.name,
-                           num_clauses=self.num_clauses,
-                           pool_len=len(self.pool))
-
-    @classmethod
-    def from_shared_memory(cls, handle: ArenaHandle) -> "ClauseArena":
-        """Attach to an exported arena without copying the pool.
-
-        ``pool``/``starts`` become read-only ``memoryview``\\ s into the
-        shared block; ``flags`` is a fresh (private) zero bytearray so
-        tombstoning stays process-local.  Attaching must not register
-        the segment with this process's ``resource_tracker`` — the
-        *creator* owns the unlink; Python 3.11 has no ``track=False``
-        yet, so registration is suppressed around the attach (an
-        after-the-fact ``unregister`` would unbalance a fork-shared
-        tracker: every worker's extra UNREGISTER past the parent's one
-        REGISTER makes the tracker print KeyError noise).
-        """
-        from multiprocessing import resource_tracker, shared_memory
-
-        orig_register = resource_tracker.register
-
-        def _no_track(name, rtype):
-            if rtype != "shared_memory":
-                orig_register(name, rtype)
-
-        resource_tracker.register = _no_track
-        try:
-            shm = shared_memory.SharedMemory(name=handle.name)
-        finally:
-            resource_tracker.register = orig_register
-        view = memoryview(shm.buf).cast("B").cast("i")
-        num_vars = view[0]
-        num_clauses = view[1]
-        pool_len = view[2]
-        offset = _HEADER_WORDS
-        arena = cls.__new__(cls)
-        arena.starts = view[offset:offset + num_clauses + 1].toreadonly()
-        offset += num_clauses + 1
-        arena.pool = view[offset:offset + pool_len].toreadonly()
-        arena.flags = bytearray(num_clauses)
-        arena.num_vars = num_vars
-        arena.live_clauses = num_clauses
-        arena.live_words = pool_len
-        arena.readonly = True
-        arena._shm = shm
-        view.release()
-        import atexit
-
-        # Views must be released before the SharedMemory finalizer runs
-        # or interpreter shutdown prints BufferError noise.
-        atexit.register(arena.detach)
-        return arena
-
-    def detach(self) -> None:
-        """Release the shared views and close this process's mapping
-        (idempotent; a no-op for plain in-process arenas)."""
-        if self._shm is None:
-            return
-        if self.readonly:
-            try:
-                self.starts.release()
-                self.pool.release()
-            except AttributeError:
-                pass
-            self.starts = array("i", [0])
-            self.pool = array("i")
-            self.readonly = False
-        shm, self._shm = self._shm, None
-        shm.close()
-
-    def release_shared(self, unlink: bool = True) -> None:
-        """Creator-side cleanup: close the mapping and (by default)
-        unlink the segment.  Safe to call when nothing was exported."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        shm.close()
-        if unlink:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
-def build_arena(formula, proof) -> tuple[ClauseArena, int]:
-    """One arena holding ``F`` followed by ``F*``; returns
-    ``(arena, num_input)``.
-
-    Literal encoding and order-preserving deduplication match
-    :meth:`PropagatorBase.add_clause` exactly, so arena cid ``i`` holds
-    the same body the in-process checkers would store — proof clause
-    ``k`` is arena clause ``num_input + k``, and a worker attaching the
-    arena needs no pickled formula or proof at all.
-    """
-    from repro.core.literals import encode
-
-    arena = ClauseArena()
-    for clause in formula:
-        arena.append(_dedup([encode(lit) for lit in clause.literals]))
-    for lits in proof:
-        arena.append(_dedup([encode(lit) for lit in lits]))
-    if formula.num_vars > arena.num_vars:
-        arena.num_vars = formula.num_vars
-    return arena, formula.num_clauses
-
-
-def _dedup(enc_lits: list[int]) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for enc in enc_lits:
-        if enc not in seen:
-            seen.add(enc)
-            out.append(enc)
-    return out
-
 
 class ArenaPropagator(PropagatorBase):
     """Two-watched-literal BCP over a flat clause arena, with blockers."""
 
-    def __init__(self, num_vars: int = 0,
-                 arena: ClauseArena | None = None):
-        adopt = arena is not None
-        self.arena = arena if adopt else ClauseArena()
-        # Process-local scan mirror of the arena's pool/starts.  The
-        # compact ``array('i')`` buffers are the storage and transport
-        # format, but CPython materializes a fresh int object on every
-        # array element access; a plain list derefs a cached object
-        # instead, which is what the hot loop needs.  The mirror is
-        # extended lazily as the arena grows (one bulk copy when
-        # adopting a shared arena) and is never shipped anywhere.
+    def __init__(self, num_vars: int = 0):
+        self.arena = ClauseArena()
+        # Scan mirror of the arena's pool/starts.  The compact
+        # ``array('i')`` buffers are the storage format, but CPython
+        # materializes a fresh int object on every array element
+        # access; a plain list derefs a cached object instead, which
+        # is what the hot loop needs.  The mirror is extended lazily
+        # as the arena grows.
         self._pool: list[int] = []
         self._starts: list[int] = [0]
         # Watched literals per clause (-1 for clauses with < 2
@@ -336,8 +150,6 @@ class ArenaPropagator(PropagatorBase):
         self.core_cids: list[list[int]] | None = None
         self.core_blockers: list[list[int]] | None = None
         super().__init__(num_vars)
-        if adopt:
-            self._adopt()
 
     # -- storage ----------------------------------------------------------
 
@@ -379,37 +191,6 @@ class ArenaPropagator(PropagatorBase):
         if self.arena.flags[cid] & _DELETED:
             return 0
         return self.arena.length(cid)
-
-    def _adopt(self) -> None:
-        """Build watch tables for a pre-populated (possibly shared,
-        read-only) arena; units are *not* enqueued — the verification
-        checkers manage unit clauses explicitly."""
-        arena = self.arena
-        self._sync_mirror()
-        starts = self._starts
-        pool = self._pool
-        self.ensure_vars(arena.num_vars)
-        watch_a = self.watch_a
-        watch_b = self.watch_b
-        watch_cids = self.watch_cids
-        watch_blockers = self.watch_blockers
-        for cid in range(arena.num_clauses):
-            begin = starts[cid]
-            end = starts[cid + 1]
-            if end - begin >= 2:
-                lit_a = pool[begin]
-                lit_b = pool[begin + 1]
-                watch_a.append(lit_a)
-                watch_b.append(lit_b)
-                watch_cids[lit_a].append(cid)
-                watch_blockers[lit_a].append(lit_b)
-                watch_cids[lit_b].append(cid)
-                watch_blockers[lit_b].append(lit_a)
-            else:
-                watch_a.append(-1)
-                watch_b.append(-1)
-                if end == begin and self.empty_clause_cid is None:
-                    self.empty_clause_cid = cid
 
     # -- watch maintenance -------------------------------------------------
 
@@ -457,8 +238,8 @@ class ArenaPropagator(PropagatorBase):
                 self.watch_blockers[enc].pop(pos))
 
     def remove_clause(self, cid: int) -> None:
-        """Tombstone a clause via its flag byte (the pool is immutable,
-        and for a shared arena also physically read-only)."""
+        """Tombstone a clause via its flag byte (the pool is never
+        rewritten)."""
         if self.arena.flags[cid] & _DELETED:
             return
         if self.arena.length(cid):

@@ -26,8 +26,9 @@ retired clauses are never consulted again.
 
 Core-first propagation needs no second table here: the occurrence
 lists are fixed, so the marked and plain "tables" are the same lists
-filtered by the core byte of :meth:`PropagatorBase.mark_core` (each
-pass counts only the entries of its own side as watch visits).
+filtered by the core byte of :meth:`PropagatorBase.mark_core`.  Each
+pass counts every entry it reads as a watch visit, the other side's
+included, so ``watch_visits`` keeps tracking the scan work.
 """
 
 from __future__ import annotations
@@ -136,9 +137,11 @@ class CountingPropagator(PropagatorBase):
                 if retire != NO_CEILING:
                     self._purge_retired(occs)
                 for cid in occs:
+                    # Every entry this pass reads is a visit, the other
+                    # side's included: skipping it is scan work too.
+                    visits += 1
                     if core is not None and core[cid] != side:
                         continue
-                    visits += 1
                     if ceiling is not None and cid >= ceiling:
                         continue
                     if n_true[cid]:

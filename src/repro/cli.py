@@ -113,8 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="BCP engine (default: watched, or "
                                  "counting when --depgraph-out needs "
                                  "deterministic reasons); arena is the "
-                                 "flat-pool engine the shared-memory "
-                                 "parallel backend uses")
+                                 "flat-pool engine")
     strictness = verify_cmd.add_mutually_exclusive_group()
     strictness.add_argument("--strict", action="store_true",
                             help="require a DIMACS header whose counts "

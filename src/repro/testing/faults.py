@@ -392,21 +392,17 @@ def scenario_sigterm(workdir: str) -> FaultOutcome:
 def scenario_worker_death(workdir: str) -> FaultOutcome:
     """A parallel verification1 worker dies mid-shard (as an OOM kill
     would look): the run must recover via retry and keep its verdict.
-    In-process — the fault hook plants the death before the fork."""
+    In-process — the fault hook plants the death in the fault table the
+    pool initializer hands every worker."""
     name = "worker-death"
-    from repro.verify.parallel import (
-        clear_faults,
-        fork_available,
-        install_fault,
-        planned_shards,
-    )
-
-    if not fork_available():
-        return FaultOutcome(name, True, None, (),
-                            "skipped: no fork start method")
     from repro.benchgen.php import pigeonhole
     from repro.proofs.conflict_clause import ConflictClauseProof
     from repro.solver.cdcl import solve
+    from repro.verify.parallel import (
+        clear_faults,
+        install_fault,
+        planned_shards,
+    )
     from repro.verify.verification import verify_proof_v1
 
     formula = pigeonhole(5)

@@ -5,33 +5,15 @@ one is a self-contained BCP run over ``F ∪ F*_{<i}``), so the proof
 indices can be sharded across a pool of worker processes.  Each worker
 builds its checker once and streams shard verdicts back.
 
-Two transports carry the clause database to the workers:
-
-``fork`` (classic)
-    The formula and proof are inherited through fork-time copy-on-write
-    — nothing large is pickled, but every worker that touches the
-    Python objects dirties their refcount pages and duplicates them.
-
-``shared-memory arena`` (zero-copy)
-    The parent builds one flat :class:`~repro.bcp.arena.ClauseArena`
-    holding ``F ∪ F*`` and exports it as a single
-    ``multiprocessing.shared_memory`` block; workers attach it
-    read-only (proof clause ``i`` *is* arena clause ``num_input + i``,
-    so no formula/proof objects cross the process boundary at all) and
-    keep only private trail/assignment state.  This works under any
-    start method — it is what makes ``--jobs`` effective on platforms
-    without ``fork`` — and under ``fork`` it also eliminates the
-    copy-on-write page duplication.
-
-Backend selection (see :func:`select_backend`): the ``arena`` engine
-always uses the shared-memory transport; other engines use classic
-``fork`` when available and are *substituted* with the arena engine
-(warning in the report, identical verdicts) when only ``spawn`` exists
-— never the old silent sequential degrade.  The chosen path is
-announced with a ``backend_selected`` obs event;
-``REPRO_START_METHOD`` (or the ``start_method`` parameter) forces a
-specific start method, which is how the fork-vs-spawn report-identity
-guarantee is tested.
+The pool initializer carries everything a worker needs: ``F``,
+``F*``, the requested engine class, the budget meter, the fault table
+and the observability fields travel as its ``initargs``.  Under the
+``fork`` start method those are inherited with the process image and
+never pickled; under ``spawn`` they are pickled once per worker.
+Either way every worker builds a :class:`ProofChecker` for the engine
+that was asked for, so the report's ``engine`` is the engine that ran.
+:func:`select_backend` prefers ``fork`` and falls back to ``spawn``;
+the chosen path is announced with a ``backend_selected`` obs event.
 
 Failure reporting stays deterministic regardless of pool scheduling:
 every shard scans in the requested direction and reports the first
@@ -62,7 +44,8 @@ therefore dispatched individually through a
 ladder is:
 
 1. shards completed before the crash keep their results;
-2. lost shards are retried once on a fresh pool;
+2. lost shards, and shards not yet submitted when a death broke the
+   pool, are retried once on a fresh pool;
 3. shards still unfinished after the retry are checked *in process*,
    sequentially — correctness is never sacrificed, only parallelism.
 
@@ -72,10 +55,11 @@ described in :attr:`ShardRunResult.warnings`, both of which surface in
 the :class:`~repro.verify.report.VerificationReport`.
 
 Budgets: the parent's :class:`~repro.verify.budget.BudgetMeter` is
-inherited by the forked workers, each of which rebases it onto its own
-engine counters and aborts its shard cleanly when the shared deadline
-(or its per-process ``max_props`` share) runs out; the parent then
-reports ``resource_limit_exceeded`` with the work that did complete.
+handed to the workers through the initializer; each rebases it onto
+its own engine counters and aborts its shard cleanly when the shared
+deadline (or its per-process ``max_props`` share) runs out; the parent
+then reports ``resource_limit_exceeded`` with the work that did
+complete.
 
 Observability: with an :class:`~repro.obs.context.Obs` attached, each
 worker buffers a ``shard`` trace span, per-check time/work histograms,
@@ -101,7 +85,6 @@ from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 
 from repro.bcp import engine_name
-from repro.bcp.arena import ArenaPropagator, ClauseArena, build_arena
 from repro.bcp.engine import PropagatorBase
 from repro.core.formula import CnfFormula
 from repro.proofs.conflict_clause import ConflictClauseProof
@@ -112,66 +95,37 @@ from repro.verify.checker import ProofChecker
 # slowest-K; K matches repro.verify.instrument.SLOWEST_K).
 _SHARD_SLOWEST = 5
 
-# Worker state: populated in the parent immediately before the pool's
-# workers fork so children inherit it, then extended per-process with
-# the lazily built checker (and the rebased budget meter) and, on the
-# shared-memory transport, the attached arena a rebuilt checker reuses.
+# Worker state: filled by the pool initializer from its initargs, then
+# extended per-process with the lazily built checker.
 _SHARED: dict = {}
 
 # Test-only fault injection: shard -> number of times a worker should
 # die (hard exit, as an OOM kill would) before executing it.  Populated
-# in the parent before the fork; workers consult it with the attempt
-# number the parent passes along, so a retried shard survives.
+# in the parent and shipped to the workers with the initargs; workers
+# consult it with the attempt number the parent passes along, so a
+# retried shard survives.
 _FAULTS: dict[tuple[int, int], int] = {}
 
 
-def fork_available() -> bool:
-    """Whether the fork-based pool backend can run on this platform."""
-    return "fork" in get_all_start_methods()
+def select_backend(start_method: str | None = None) -> str | None:
+    """Pick the pool's start method: ``fork`` when available, else
+    ``spawn``.
 
-
-def select_backend(engine_cls: type[PropagatorBase],
-                   start_method: str | None = None,
-                   ) -> tuple[str | None, bool, type[PropagatorBase]]:
-    """Pick ``(start_method, use_shm, worker_engine_cls)`` for a run.
-
-    * the arena engine always rides the shared-memory transport
-      (under ``fork`` too — that is the zero-copy point), so the
-      clause database is mapped, never copied;
-    * other engines use classic ``fork`` inheritance when available;
-    * without ``fork``, the workers run the arena engine over shared
-      memory instead of degrading to sequential (the caller records the
-      substitution as a report warning);
-    * ``start_method`` (or a ``REPRO_START_METHOD`` environment
-      override) forces a specific method; an unavailable one raises
-      ``ValueError``.  A ``None`` method in the result means no
-      process start method exists at all (degrade sequentially).
+    ``start_method`` forces a specific method; an unavailable one
+    raises ``ValueError``.  ``None`` means no process start method
+    exists at all (the caller degrades sequentially).
     """
     methods = get_all_start_methods()
-    if start_method is None:
-        env = os.environ.get("REPRO_START_METHOD")
-        if env is not None and env.strip():
-            start_method = env.strip()
     if start_method is not None:
         if start_method not in methods:
             raise ValueError(
                 f"start method {start_method!r} is not available on "
                 f"this platform (have {tuple(methods)})")
-        method = start_method
-    elif "fork" in methods:
-        method = "fork"
-    elif "spawn" in methods:
-        method = "spawn"
-    else:
-        return None, False, engine_cls
-    use_shm = issubclass(engine_cls, ArenaPropagator)
-    worker_cls = engine_cls
-    if method != "fork" and not use_shm:
-        # Only the arena crosses a non-fork boundary without pickling
-        # the clause database; substitute it rather than degrade.
-        use_shm = True
-        worker_cls = ArenaPropagator
-    return method, use_shm, worker_cls
+        return start_method
+    for method in ("fork", "spawn"):
+        if method in methods:
+            return method
+    return None
 
 
 def default_jobs() -> int:
@@ -295,14 +249,9 @@ class ShardRunResult:
 
 
 def _init_worker(spec: dict) -> None:
-    """Pool initializer for the shared-memory transport.
-
-    ``spec`` is small and fully picklable (an
-    :class:`~repro.bcp.arena.ArenaHandle`, scalars, and the budget
-    meter), so it crosses any start-method boundary; the clause
-    database itself never does — the worker maps the parent's arena
-    read-only in :func:`_worker_checker`.
-    """
+    """Pool initializer: install the run's ``spec`` (formula, proof,
+    engine class, scan settings, budget meter, fault table and obs
+    fields) as this worker's state."""
     _SHARED.clear()
     _SHARED.update(spec)
     _FAULTS.clear()
@@ -323,21 +272,10 @@ def _worker_checker(shard: tuple[int, int]) -> tuple[ProofChecker, bool]:
                > checker.engine.retire_ceiling)
     if checker is None or rebuilt:
         meter: BudgetMeter | None = _SHARED.get("meter")
-        handle = _SHARED.get("arena")
-        retire = _SHARED["retire"]
-        if handle is not None:
-            arena = _SHARED.get("attached")
-            if arena is None:
-                arena = ClauseArena.from_shared_memory(handle)
-                _SHARED["attached"] = arena
-            checker = ProofChecker.from_arena(
-                arena, _SHARED["num_input"], mode=_SHARED["mode"],
-                retire=retire)
-        else:
-            checker = ProofChecker(
-                _SHARED["formula"], _SHARED["proof"],
-                _SHARED["engine_cls"], mode=_SHARED["mode"],
-                retire=retire)
+        checker = ProofChecker(
+            _SHARED["formula"], _SHARED["proof"],
+            _SHARED["engine_cls"], mode=_SHARED["mode"],
+            retire=_SHARED["retire"])
         if meter is not None:
             # Fresh engine in this process: keep the shared deadline but
             # charge work units against this worker's own counters.
@@ -633,11 +571,10 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     ``worker_failures`` / ``warnings``); an exhausted budget surfaces as
     ``budget_reason`` plus partial progress.
 
-    The start method and clause-database transport are picked by
-    :func:`select_backend` (``start_method`` / ``REPRO_START_METHOD``
-    force one); the verdict, failure index and check counts are
-    identical across backends — only the BCP counters depend on which
-    engine the workers ran.
+    The start method is picked by :func:`select_backend`
+    (``start_method`` forces one); every worker runs ``engine_cls``
+    under either method, so the verdict, failure index and check
+    counts do not depend on it.
 
     ``obs`` (and the driver's ``builder``, for slowest-K and progress)
     attach the instrumentation layer; see the module docstring for
@@ -660,8 +597,7 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     sink = _ObsSink(obs, builder, len(shards))
     sink.event("shard_plan", **plan.as_event(order))
     requested = engine_name(engine_cls)
-    method, use_shm, worker_cls = select_backend(engine_cls,
-                                                 start_method)
+    method = select_backend(start_method)
     if method is None:
         sink.event("backend_selected", backend="sequential",
                    engine=requested, reason="no start method")
@@ -673,21 +609,12 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
     results: dict[tuple[int, int], ShardResult] = {}
     worker_failures = 0
     warnings: list[str] = []
-    if worker_cls is not engine_cls:
-        warnings.append(
-            f"engine '{requested}' cannot cross the '{method}' start "
-            "method; workers ran the shared-memory arena engine "
-            "(verdicts are engine-independent, BCP counters are the "
-            "arena's)")
-    sink.event("backend_selected",
-               backend=f"{method}+shm" if use_shm else method,
-               engine=requested, worker_engine=engine_name(worker_cls),
-               start_method=method)
-    arena = None
-    initializer = None
-    initargs: tuple = ()
+    sink.event("backend_selected", backend=method, engine=requested)
     tracer = obs.tracer if obs is not None else None
-    obs_fields = dict(
+    spec = dict(
+        formula=formula, proof=proof, engine_cls=engine_cls,
+        order=order, mode=mode, retire=retire, meter=meter,
+        faults=dict(_FAULTS),
         obs_enabled=obs is not None,
         obs_epoch=tracer.epoch if tracer is not None else None,
         obs_epoch_wall=(getattr(tracer, "epoch_wall", None)
@@ -696,78 +623,69 @@ def run_sharded_v1(formula: CnfFormula, proof: ConflictClauseProof,
                    if tracer is not None else None),
         obs_run=obs.run_id if obs is not None else None,
         depgraph_enabled=(obs is not None and obs.wants_depgraph))
-    if use_shm:
-        arena, num_input = build_arena(formula, proof)
-        handle = arena.to_shared_memory()
-        initializer = _init_worker
-        initargs = ({"arena": handle, "num_input": num_input,
-                     "order": order, "mode": mode, "retire": retire,
-                     "meter": meter, "faults": dict(_FAULTS),
-                     **obs_fields},)
-    else:
-        _SHARED.update(formula=formula, proof=proof,
-                       engine_cls=engine_cls, order=order, mode=mode,
-                       retire=retire, meter=meter, **obs_fields)
     context = get_context(method)
-    try:
-        for attempt in (0, 1):
-            pending = [s for s in shards if s not in results]
-            if not pending or _budget_hit(results):
-                break
-            if attempt == 1:
-                warnings.append(
-                    f"worker died; retrying {len(pending)} shard(s) "
-                    "on a fresh pool")
-                sink.event("worker_retry", pending=len(pending))
-                sink.counter("repro_parallel_retries_total", 1,
-                             help="Shard retry rounds after worker "
-                                  "deaths")
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)), mp_context=context,
-                initializer=initializer, initargs=initargs)
-            collected = False
-            try:
-                futures = {
-                    executor.submit(_shard_worker, shard, attempt): shard
-                    for shard in pending}
-                not_done = set(futures)
+    for attempt in (0, 1):
+        pending = [s for s in shards if s not in results]
+        if not pending or _budget_hit(results):
+            break
+        if attempt == 1:
+            warnings.append(
+                f"worker died; retrying {len(pending)} shard(s) "
+                "on a fresh pool")
+            sink.event("worker_retry", pending=len(pending))
+            sink.counter("repro_parallel_retries_total", 1,
+                         help="Shard retry rounds after worker deaths")
+        executor = ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), mp_context=context,
+            initializer=_init_worker, initargs=(spec,))
+        collected = False
+        try:
+            futures = {}
+            for shard in pending:
+                try:
+                    future = executor.submit(_shard_worker, shard,
+                                             attempt)
+                except BrokenProcessPool:
+                    # A worker died while shards were still being
+                    # submitted: the unsubmitted ones stay pending for
+                    # the retry pool, then the in-process degrade.
+                    worker_failures += 1
+                    sink.event("worker_failure", shard=list(shard),
+                               attempt=attempt)
+                    break
+                futures[future] = shard
+            not_done = set(futures)
+            sink.queue_depth(len(not_done))
+            while not_done:
+                timeout = (meter.remaining_time()
+                           if meter is not None else None)
+                if timeout is not None and timeout <= 0:
+                    break  # deadline passed: stop collecting
+                done, not_done = wait(not_done, timeout=timeout,
+                                      return_when=FIRST_COMPLETED)
+                if not done:
+                    break  # wait() timed out at the deadline
+                for future in done:
+                    shard = futures[future]
+                    try:
+                        results[shard] = future.result()
+                        sink.absorb(shard, results[shard])
+                    except BrokenProcessPool:
+                        # A shard execution lost to a dead worker;
+                        # anything else a worker raises is a checker
+                        # bug and propagates unmasked.
+                        worker_failures += 1
+                        sink.event("worker_failure", shard=list(shard),
+                                   attempt=attempt)
                 sink.queue_depth(len(not_done))
-                while not_done:
-                    timeout = (meter.remaining_time()
-                               if meter is not None else None)
-                    if timeout is not None and timeout <= 0:
-                        break  # deadline passed: stop collecting
-                    done, not_done = wait(not_done, timeout=timeout,
-                                          return_when=FIRST_COMPLETED)
-                    if not done:
-                        break  # wait() timed out at the deadline
-                    for future in done:
-                        shard = futures[future]
-                        try:
-                            results[shard] = future.result()
-                            sink.absorb(shard, results[shard])
-                        except BrokenProcessPool:
-                            # A shard execution lost to a dead worker;
-                            # anything else a worker raises is a checker
-                            # bug and propagates unmasked.
-                            worker_failures += 1
-                            sink.event("worker_failure",
-                                       shard=list(shard),
-                                       attempt=attempt)
-                    sink.queue_depth(len(not_done))
-                collected = not not_done
-            finally:
-                # Every future collected: join the pool, so no manager
-                # thread outlives the run.  Otherwise (the deadline
-                # early exit, or a checker bug propagating) cancel the
-                # queue and do not wait, so a straggler cannot wedge
-                # the parent.
-                executor.shutdown(wait=collected,
-                                  cancel_futures=not collected)
-    finally:
-        _SHARED.clear()
-        if arena is not None:
-            arena.release_shared(unlink=True)
+            collected = not not_done
+        finally:
+            # Every future collected: join the pool, so no manager
+            # thread outlives the run.  Otherwise (the deadline early
+            # exit, or a checker bug propagating) cancel the queue and
+            # do not wait, so a straggler cannot wedge the parent.
+            executor.shutdown(wait=collected,
+                              cancel_futures=not collected)
     sink.counter("repro_parallel_worker_failures_total", worker_failures,
                  help="Shard executions lost to dead workers")
     remaining = [s for s in shards if s not in results]

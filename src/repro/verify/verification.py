@@ -194,9 +194,7 @@ def verify_proof_v1(
     backend is fault-tolerant: a dead worker's shards are retried once
     and then fall back to in-process sequential checking (see
     :mod:`repro.verify.parallel`).  On platforms without the ``fork``
-    start method the workers run the shared-memory arena engine under
-    ``spawn`` — same verdict, a report warning notes the engine
-    substitution — instead of degrading to a sequential run.
+    start method the workers are spawned and run the same engine.
 
     An exhausted ``budget`` aborts with ``resource_limit_exceeded`` and
     partial progress instead of a verdict.  ``obs`` attaches the
@@ -215,9 +213,8 @@ def verify_proof_v1(
     jobs = _resolve_jobs(jobs, obs)
     meter = budget.start() if budget is not None else None
     if jobs > 1 and len(proof) > 1:
-        # The backend picks the start method and transport itself:
-        # no-fork platforms run spawn + shared-memory arena instead of
-        # the old silent sequential degrade (see select_backend).
+        # The backend picks the start method itself (see
+        # select_backend).
         return _verify_proof_v1_parallel(formula, proof, engine_cls,
                                          order, mode, jobs, meter,
                                          obs, instance=instance)

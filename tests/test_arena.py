@@ -1,19 +1,13 @@
-"""Unit tests for the flat clause arena and its shared-memory transport."""
+"""Unit tests for the flat clause arena and its BCP engine."""
 
-import pytest
-
-from repro.bcp.arena import (
-    ArenaPropagator,
-    ClauseArena,
-    build_arena,
-)
-from repro.bcp.engine import TRUE
+from repro.bcp.arena import ArenaPropagator, ClauseArena
 from repro.core.formula import CnfFormula
 from repro.core.literals import encode
 from repro.proofs.conflict_clause import (
     ENDING_FINAL_PAIR,
     ConflictClauseProof,
 )
+from repro.verify.checker import ProofChecker
 
 
 def enc_clause(lits):
@@ -86,10 +80,18 @@ class TestClauseArena:
 
 
 class TestBuildArena:
+    """A checker over the arena engine loads ``F`` then ``F*`` into one
+    arena, so proof clause ``k`` is arena clause ``num_input + k``."""
+
+    @staticmethod
+    def _arena(formula, proof):
+        checker = ProofChecker(formula, proof, ArenaPropagator)
+        return checker.engine.arena, checker.num_input
+
     def test_layout_matches_checker_cids(self):
         formula = CnfFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
         proof = ConflictClauseProof([(1,), (-1,)], ENDING_FINAL_PAIR)
-        arena, num_input = build_arena(formula, proof)
+        arena, num_input = self._arena(formula, proof)
         assert num_input == 4
         assert arena.num_clauses == 6
         # Proof clause k is arena clause num_input + k.
@@ -99,113 +101,11 @@ class TestBuildArena:
     def test_duplicate_literals_deduped(self):
         formula = CnfFormula([[1, 1, -2]])
         proof = ConflictClauseProof([()], "empty")
-        arena, _ = build_arena(formula, proof)
+        arena, _ = self._arena(formula, proof)
         assert list(arena.lits(0)) == enc_clause([1, -2])
 
 
-class TestSharedMemory:
-    def test_round_trip_exact(self):
-        formula = CnfFormula([[1, 2, 3], [-1, -2], [3]])
-        proof = ConflictClauseProof([()], "empty")
-        arena, _ = build_arena(formula, proof)
-        handle = arena.to_shared_memory()
-        try:
-            attached = ClauseArena.from_shared_memory(handle)
-            assert attached.num_vars == arena.num_vars
-            assert attached.num_clauses == arena.num_clauses
-            assert list(attached.pool) == list(arena.pool)
-            assert list(attached.starts) == list(arena.starts)
-            attached.detach()
-        finally:
-            arena.release_shared(unlink=True)
-
-    def test_attached_arena_rejects_append(self):
-        arena = ClauseArena()
-        arena.append(enc_clause([1, 2]))
-        handle = arena.to_shared_memory()
-        try:
-            attached = ClauseArena.from_shared_memory(handle)
-            with pytest.raises(ValueError, match="attached"):
-                attached.append(enc_clause([3]))
-            attached.detach()
-        finally:
-            arena.release_shared(unlink=True)
-
-    def test_double_export_rejected(self):
-        arena = ClauseArena()
-        arena.append(enc_clause([1]))
-        arena.to_shared_memory()
-        try:
-            with pytest.raises(ValueError, match="already exported"):
-                arena.to_shared_memory()
-        finally:
-            arena.release_shared(unlink=True)
-
-    def test_detach_idempotent(self):
-        arena = ClauseArena()
-        arena.append(enc_clause([1, 2]))
-        handle = arena.to_shared_memory()
-        try:
-            attached = ClauseArena.from_shared_memory(handle)
-            attached.detach()
-            attached.detach()  # second call is a no-op
-            assert not attached.readonly
-        finally:
-            arena.release_shared(unlink=True)
-
-    def test_release_shared_idempotent(self):
-        arena = ClauseArena()
-        arena.append(enc_clause([1]))
-        arena.to_shared_memory()
-        arena.release_shared(unlink=True)
-        arena.release_shared(unlink=True)  # nothing exported: no-op
-
-    def test_detach_on_plain_arena_is_noop(self):
-        arena = ClauseArena()
-        arena.append(enc_clause([1]))
-        arena.detach()
-        assert arena.num_clauses == 1
-
-    def test_tombstones_stay_process_local(self):
-        """flags are never shipped: an attached arena starts with a
-        fresh zero flag set regardless of the creator's deletions."""
-        arena = ClauseArena()
-        arena.append(enc_clause([1, 2]))
-        arena.flags[0] |= 1
-        handle = arena.to_shared_memory()
-        try:
-            attached = ClauseArena.from_shared_memory(handle)
-            assert tuple(attached.lits(0)) == tuple(enc_clause([1, 2]))
-            attached.detach()
-        finally:
-            arena.release_shared(unlink=True)
-
-
-class TestAdoptedPropagator:
-    def test_propagates_over_shared_arena(self):
-        formula = CnfFormula([[1], [-1, 2], [-2, 3]])
-        proof = ConflictClauseProof([()], "empty")
-        arena, _ = build_arena(formula, proof)
-        handle = arena.to_shared_memory()
-        try:
-            attached = ClauseArena.from_shared_memory(handle)
-            engine = ArenaPropagator(arena=attached)
-            # Adoption does not enqueue units; do it explicitly.
-            engine.enqueue(encode(1), 0)
-            assert engine.propagate(ceiling=3) is None
-            for var in (1, 2, 3):
-                assert engine.value(encode(var)) == TRUE
-            attached.detach()
-        finally:
-            arena.release_shared(unlink=True)
-
-    def test_adopt_finds_empty_clause(self):
-        arena = ClauseArena()
-        arena.append(enc_clause([1, 2]))
-        arena.append([])
-        engine = ArenaPropagator(arena=arena)
-        assert engine.empty_clause_cid == 1
-
+class TestArenaPropagator:
     def test_blocker_hit_skips_body(self):
         engine = ArenaPropagator()
         engine.add_clause(enc_clause([1, 2]), propagate_units=False)

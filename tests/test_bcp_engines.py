@@ -366,6 +366,51 @@ class TestCounters:
         assert engine.counters.assignments == 0
 
 
+class TestCountingVisitsUnderMarking:
+    """The counting engine's core-first passes filter one set of
+    occurrence lists by the core byte, so each pass reads every entry:
+    ``watch_visits`` must count them all, or marking would hide scan
+    work."""
+
+    @staticmethod
+    def full_propagate_visits(clauses, num_vars, decision, marks):
+        engine = CountingPropagator(num_vars)
+        for lits in clauses:
+            engine.add_clause(enc_clause(lits), propagate_units=False)
+        for cid in marks:
+            engine.mark_core(cid)
+        engine.assume(encode(decision))
+        confl = engine.propagate()
+        return confl, set(engine.trail), engine.counters.watch_visits
+
+    def test_marking_never_lowers_full_propagate_visits(self):
+        full_runs = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            num_vars = 12
+            clauses = []
+            for _ in range(24):
+                variables = rng.sample(range(1, num_vars + 1),
+                                       rng.choice([2, 2, 3]))
+                clauses.append([v if rng.random() < .5 else -v
+                                for v in variables])
+            decision = rng.choice([1, -1])
+            marks = [cid for cid in range(len(clauses))
+                     if rng.random() < .4]
+            plain = self.full_propagate_visits(clauses, num_vars,
+                                               decision, [])
+            marked = self.full_propagate_visits(clauses, num_vars,
+                                                decision, marks)
+            if plain[0] is not None or marked[0] is not None:
+                continue  # a conflict ends the passes early
+            full_runs += 1
+            assert marked[1] == plain[1]
+            # Both passes read every occurrence entry of every trail
+            # literal once.
+            assert marked[2] == 2 * plain[2] >= plain[2]
+        assert full_runs >= 20
+
+
 @pytest.mark.parametrize("engine_cls", ENGINES)
 class TestAssignmentView:
     def test_assignment_mapping(self, engine_cls):

@@ -6,8 +6,7 @@ the same failed/marked indices, and the same unsat core regardless of
 which engine ran the checks.  These tests pin that contract on the
 paper's worked example and on solved instances — including under the
 adversarial mutation sweep and across the fork/spawn process-pool
-boundary (where a zero-copy shared-memory arena carries the clause
-database).
+boundary.
 """
 
 import pytest
@@ -22,10 +21,21 @@ from repro.proofs.drup import DrupProof
 from repro.solver.cdcl import solve
 from repro.testing import run_differential
 from repro.verify.forward import check_drup
-from repro.verify.parallel import fork_available
+from repro.verify import parallel
 from repro.verify.verification import verify_proof_v1, verify_proof_v2
 
 ENGINE_NAMES = ("watched", "counting", "arena")
+
+needs_fork_and_spawn = pytest.mark.skipif(
+    not {"fork", "spawn"} <= set(parallel.get_all_start_methods()),
+    reason="needs both fork and spawn")
+
+
+def _force_start_method(monkeypatch, method):
+    """Make the pool see ``method`` as the only start method."""
+    monkeypatch.setattr(parallel, "get_all_start_methods",
+                        lambda: [method])
+
 
 # The paper's worked example: two derived units refute the first four
 # clauses; (4 5) is padding outside the refutation's cone.
@@ -118,8 +128,6 @@ class TestSolvedInstance:
         assert report.ok
         assert report.engine == engine
 
-    @pytest.mark.skipif(not fork_available(),
-                        reason="needs a process pool")
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_parallel_matches_sequential(self, solved, engine):
         formula, proof, _ = solved
@@ -239,29 +247,25 @@ class TestDeletionParity:
             check_drup(formula, read_drup(drup),
                        engine_cls="counting")
 
-    @pytest.mark.skipif(not fork_available(),
-                        reason="needs both fork and spawn")
+    @needs_fork_and_spawn
     @pytest.mark.parametrize("engine", ["arena"])
     def test_tombstones_cross_fork_and_spawn(self, solved,
                                              monkeypatch, engine):
-        """Parallel v1 ships the clause arena over shared memory; a
-        tombstone-aware arena must produce the same verdict whether
-        the workers forked or spawned."""
+        """A tombstone-aware arena must produce the same verdict
+        whether the pool workers forked or spawned."""
         formula, proof, _ = solved
         identities = {}
         for method in ("fork", "spawn"):
-            monkeypatch.setenv("REPRO_START_METHOD", method)
+            _force_start_method(monkeypatch, method)
             report = verify_proof_v1(formula, proof, engine,
                                      mode="incremental", jobs=2)
             identities[method] = _v1_identity(report)
-        monkeypatch.delenv("REPRO_START_METHOD")
         assert identities["fork"] == identities["spawn"]
 
 
 class TestStartMethodIdentity:
     """``--jobs N`` must produce identical reports whether the pool
-    forks or spawns — the shared-memory arena is the transport that
-    makes the spawn side possible at all."""
+    forks or spawns: either way the workers run the requested engine."""
 
     # Counter *totals* are excluded: with an incremental checker, the
     # work a check costs depends on which checks the same worker ran
@@ -272,18 +276,16 @@ class TestStartMethodIdentity:
                      "failed_clause_index", "failure_reason", "mode",
                      "engine", "jobs", "worker_failures", "warnings")
 
-    @pytest.mark.skipif(not fork_available(),
-                        reason="needs both fork and spawn")
-    @pytest.mark.parametrize("engine", ["arena"])
+    @needs_fork_and_spawn
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_fork_and_spawn_reports_identical(self, solved,
                                               monkeypatch, engine):
         formula, proof, _ = solved
         reports = {}
         for method in ("fork", "spawn"):
-            monkeypatch.setenv("REPRO_START_METHOD", method)
+            _force_start_method(monkeypatch, method)
             reports[method] = verify_proof_v1(
                 formula, proof, engine, mode="incremental", jobs=2)
-        monkeypatch.delenv("REPRO_START_METHOD")
         for field in self.REPORT_FIELDS:
             assert getattr(reports["fork"], field) \
                 == getattr(reports["spawn"], field), field

@@ -179,8 +179,20 @@ class TestArtifact:
 class TestShardingIndependence:
     """The acceptance guarantee: identical artifact for any --jobs."""
 
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_rebuild_view_identical_across_jobs(self, jobs):
+    @pytest.mark.parametrize("jobs,start_method", [
+        pytest.param(2, "fork", id="2"), pytest.param(4, "fork", id="4"),
+        pytest.param(2, "spawn", id="2-spawn"),
+        pytest.param(4, "spawn", id="4-spawn")])
+    def test_rebuild_view_identical_across_jobs(self, jobs, start_method,
+                                                monkeypatch):
+        import multiprocessing
+
+        from repro.verify import parallel
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"platform has no {start_method} start method")
+        monkeypatch.setattr(parallel, "get_all_start_methods",
+                            lambda: [start_method])
         formula, proof = random_unsat_instance()
         views = []
         for job_count in (1, jobs):

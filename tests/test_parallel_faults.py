@@ -16,17 +16,12 @@ from repro.verify import RESOURCE_LIMIT_EXCEEDED, CheckBudget
 from repro.verify import parallel
 from repro.verify.parallel import (
     clear_faults,
-    fork_available,
     install_fault,
     make_shards,
     planned_shards,
     run_sharded_v1,
 )
 from repro.verify.verification import verify_proof_v1
-
-pytestmark = pytest.mark.skipif(
-    not fork_available(),
-    reason="fault-tolerance tests need the fork start method")
 
 
 def _shards(formula, proof, mode="incremental", jobs=4):
@@ -108,36 +103,54 @@ class TestWorkerDeath:
                 == sequential.failed_clause_index)
 
 
-class TestDegradedPlatform:
-    def test_no_fork_substitutes_arena_over_spawn(self, instance,
+    def test_death_during_submission_keeps_verdict(self, bad_instance,
                                                   monkeypatch):
-        """A fork-less platform no longer degrades to sequential: the
-        workers run the shared-memory arena engine across ``spawn``."""
+        """A worker that dies while the parent is still submitting makes
+        ``submit`` raise ``BrokenProcessPool``: the run records the
+        failure and leaves the unsubmitted shards to the retry pool."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        formula, proof = bad_instance
+        sequential = verify_proof_v1(formula, proof, jobs=1)
+        submits = []
+
+        class BreaksOnSecondSubmit(parallel.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died mid-submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        report = verify_proof_v1(formula, proof, jobs=4)
+        assert report.worker_failures == 1
+        assert any("retrying" in w for w in report.warnings)
+        assert not report.ok
+        assert report.failed_clause_index \
+            == sequential.failed_clause_index
+        assert report.num_checked >= sequential.num_checked
+
+
+class TestDegradedPlatform:
+    def test_spawn_runs_requested_engine(self, instance, monkeypatch):
+        """A fork-less platform spawns its workers, which run the
+        engine that was asked for: the report names it, carries no
+        warning, and matches the fork run's verdict and check count."""
+        import multiprocessing
+
+        if not {"fork", "spawn"} <= set(
+                multiprocessing.get_all_start_methods()):
+            pytest.skip("needs both fork and spawn")
         formula, proof = instance
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
+        forked = verify_proof_v1(formula, proof, "watched", jobs=2)
         monkeypatch.setattr(parallel, "get_all_start_methods",
                             lambda: ["spawn"])
-        report = verify_proof_v1(formula, proof, jobs=2)
-        assert report.ok
-        assert report.num_checked == len(proof)
-        assert any("shared-memory arena engine" in w
-                   for w in report.warnings)
-        assert not any("unavailable" in w for w in report.warnings)
-
-    def test_run_sharded_substitutes_arena_over_spawn(self, instance,
-                                                      monkeypatch):
-        from repro.bcp.watched import WatchedPropagator
-
-        formula, proof = instance
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
-        monkeypatch.setattr(parallel, "get_all_start_methods",
-                            lambda: ["spawn"])
-        run = run_sharded_v1(formula, proof, WatchedPropagator,
-                             "backward", "incremental", 2)
-        assert run.failed_index is None
-        assert run.num_checked == len(proof)
-        assert any("shared-memory arena engine" in w
-                   for w in run.warnings)
+        spawned = verify_proof_v1(formula, proof, "watched", jobs=2)
+        assert spawned.engine == forked.engine == "watched"
+        assert spawned.warnings == ()
+        assert spawned.ok == forked.ok
+        assert spawned.num_checked == forked.num_checked == len(proof)
 
     def test_no_start_method_degrades_sequential(self, instance,
                                                  monkeypatch):
@@ -146,7 +159,6 @@ class TestDegradedPlatform:
         from repro.bcp.watched import WatchedPropagator
 
         formula, proof = instance
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
         monkeypatch.setattr(parallel, "get_all_start_methods",
                             lambda: [])
         run = run_sharded_v1(formula, proof, WatchedPropagator,
@@ -273,7 +285,7 @@ class TestTraceReplayUnderFaults:
 class TestSpawnTraceRebasing:
     def test_spawn_run_yields_coherent_timeline(self, instance,
                                                 monkeypatch):
-        """Under ``REPRO_START_METHOD=spawn`` the workers rebase onto
+        """Under the spawn start method the workers rebase onto
         the parent's time axis (see ``repro.obs.spans.rebase_epoch``):
         shard spans must land *inside* the parent's pool span, carry
         the parent's trace id, and build a valid timeline — the
@@ -286,7 +298,8 @@ class TestSpawnTraceRebasing:
 
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("platform has no spawn start method")
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        monkeypatch.setattr(parallel, "get_all_start_methods",
+                            lambda: ["spawn"])
         formula, proof = instance
         obs = Obs(metrics=MetricsRegistry(), tracer=Tracer())
         report = verify_proof_v1(formula, proof, jobs=2,
@@ -328,7 +341,8 @@ class TestRetirementInPool:
     verdicts and failure indices stay those of ``--jobs 1``."""
 
     @pytest.mark.parametrize("engine,start_method", [
-        ("watched", "fork"), ("arena", "fork"), ("arena", "spawn")])
+        ("watched", "fork"), ("arena", "fork"), ("arena", "spawn"),
+        ("watched", "spawn")])
     def test_pooled_watch_visits_near_sequential(self, instance, engine,
                                                  start_method):
         import multiprocessing
@@ -358,29 +372,17 @@ class TestRetirementInPool:
         instead of raising; in descending order it never does.  Either
         way the reduced verdict is the sequential one."""
         from repro.bcp import resolve_engine
-        from repro.bcp.arena import build_arena
 
         formula, proof, middle = mid_failure
-        spec = {"order": "backward", "mode": "incremental",
-                "retire": True}
-        arena = None
-        if engine == "arena":
-            arena, num_input = build_arena(formula, proof)
-            spec.update(arena=arena.to_shared_memory(),
-                        num_input=num_input)
-        else:
-            spec.update(formula=formula, proof=proof,
-                        engine_cls=resolve_engine(engine))
-        monkeypatch.setattr(parallel, "_SHARED", spec)
+        monkeypatch.setattr(parallel, "_SHARED", {})
+        parallel._init_worker({
+            "formula": formula, "proof": proof,
+            "engine_cls": resolve_engine(engine), "order": "backward",
+            "mode": "incremental", "retire": True})
         shards = planned_shards(formula, proof, 2).scan_order(
             "forward" if ascending else "backward")
-        try:
-            results = {shard: parallel._shard_worker(shard, 0)
-                       for shard in shards}
-        finally:
-            if arena is not None:
-                spec["attached"].detach()
-                arena.release_shared(unlink=True)
+        results = {shard: parallel._shard_worker(shard, 0)
+                   for shard in shards}
         rebuilds = [results[s].rebuilt for s in shards]
         assert rebuilds == [False] + [ascending] * (len(shards) - 1)
         assert sum(r.counter_delta["purged"]
@@ -394,7 +396,6 @@ class TestRetirementInPool:
         from repro.bcp.watched import WatchedPropagator
 
         formula, proof, middle = mid_failure
-        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
         monkeypatch.setattr(parallel, "get_all_start_methods",
                             lambda: [])
         run = run_sharded_v1(formula, proof, WatchedPropagator,
